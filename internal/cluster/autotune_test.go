@@ -193,6 +193,14 @@ func TestRouterStats(t *testing.T) {
 		}
 	}
 
+	var raw any
+	getJSON(t, routerSrv.URL+"/stats", &raw)
+	requireStatsKeys(t, "/stats totals", statsField(t, "/stats", raw, "totals"))
+	perPeer := statsField(t, "/stats", raw, "per_peer")
+	for _, p := range peers {
+		requireStatsKeys(t, "/stats per_peer "+p, statsField(t, "/stats per_peer", perPeer, p))
+	}
+
 	var agg RouterStatsResponse
 	getJSON(t, routerSrv.URL+"/stats", &agg)
 	if agg.Peers != 2 || len(agg.PerPeer) != 2 || len(agg.Unreachable) != 0 {

@@ -436,15 +436,12 @@ func TestNodeStats(t *testing.T) {
 		t.Fatalf("solve: status %d, want 200", resp.StatusCode)
 	}
 
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
-	}
-	defer resp.Body.Close()
+	var raw any
+	getJSON(t, srv.URL+"/stats", &raw)
+	requireStatsKeys(t, "/stats", raw)
+
 	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decoding stats: %v", err)
-	}
+	getJSON(t, srv.URL+"/stats", &st)
 	if st.Requests != 1 {
 		t.Errorf("requests = %d, want 1", st.Requests)
 	}
@@ -455,6 +452,47 @@ func TestNodeStats(t *testing.T) {
 	if st.Admission.Executing != 0 || st.Admission.Shed != 0 {
 		t.Errorf("admission counters = %+v, want idle", st.Admission)
 	}
+}
+
+// statsKeys are the numeric keys of a node's GET /stats body. perfbench
+// reads requests, coalesced, cache.* and admission.shed to derive its
+// per-layer metrics and drops a metric whose key is missing, so the
+// schema must not lose any of them.
+var statsKeys = []string{
+	"requests", "batches", "coalesced", "in_flight",
+	"cache.hits", "cache.misses", "cache.shared", "cache.evictions", "cache.entries",
+	"admission.executing", "admission.queued", "admission.shed",
+	"admission.max_concurrent", "admission.max_queue",
+}
+
+// requireStatsKeys checks that doc, a node's stats object named label
+// in failure messages, carries every statsKeys entry as a JSON number.
+func requireStatsKeys(t *testing.T, label string, doc any) {
+	t.Helper()
+	for _, path := range statsKeys {
+		cur := doc
+		for _, k := range strings.Split(path, ".") {
+			cur = statsField(t, label, cur, k)
+		}
+		if _, ok := cur.(float64); !ok {
+			t.Fatalf("%s.%s = %v, want a number", label, path, cur)
+		}
+	}
+}
+
+// statsField returns key of the JSON object doc, failing the test when
+// doc is not an object or lacks the key.
+func statsField(t *testing.T, label string, doc any, key string) any {
+	t.Helper()
+	m, ok := doc.(map[string]any)
+	if !ok {
+		t.Fatalf("%s: %v is not an object", label, doc)
+	}
+	v, ok := m[key]
+	if !ok {
+		t.Fatalf("%s lacks %q", label, key)
+	}
+	return v
 }
 
 // TestRouterHealthLoop: Start/Close cycles the background loop and a

@@ -43,7 +43,7 @@ func BenchmarkDecodeReadout(b *testing.B) {
 			if err != nil {
 				b.Skipf("compile: %v", err)
 			}
-			n := comp.Ising.N()
+			n := comp.Program.N
 			words := make([]uint64, anneal.WordsFor(n))
 			anneal.RandomSpinsInto(rng, n, words)
 			var sc solveScratch
@@ -80,7 +80,7 @@ func TestDecodeReadoutAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	n := comp.Ising.N()
+	n := comp.Program.N
 	words := make([]uint64, anneal.WordsFor(n))
 	anneal.RandomSpinsInto(rng, n, words)
 	var sc solveScratch

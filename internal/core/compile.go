@@ -28,9 +28,12 @@ import (
 //
 // A Compiled is IMMUTABLE once built: both QUBO formulas are frozen
 // (mutation panics), and the sampling path only ever reads it — gauge
-// transformations copy the Ising problem, and read-out decoding writes
+// transformations copy the CSR program, and read-out decoding writes
 // into per-run buffers. One instance is therefore safe to share between
-// any number of concurrent solves.
+// any number of concurrent solves. The Ising form of the physical
+// formula is an intermediate of Program's build and is not kept: a
+// cached artifact would otherwise pin a second copy of the formula that
+// nothing reads.
 type Compiled struct {
 	// Mapping is the logical MQO→QUBO transformation (frozen).
 	Mapping *logical.Mapping
@@ -39,11 +42,10 @@ type Compiled struct {
 	// Phys is the physical energy formula over the consumed qubits
 	// (frozen QUBO).
 	Phys *embedding.Physical
-	// Ising is the physical formula in Ising form, the sampler input.
-	Ising *ising.Problem
-	// Program is the identity-gauge CSR sampling program; gauge batches
-	// compile their own gauged copies and use Program to express
-	// energies in the original gauge.
+	// Program is the identity-gauge CSR sampling program of the
+	// physical formula in Ising form; gauge batches derive their own
+	// gauged copies from it and use it to express energies in the
+	// original gauge. Program.N is the physical spin count.
 	Program *anneal.Compiled
 	// UsedTriadFallback reports that the clustered pattern could not
 	// realize the instance and the general TRIAD pattern was used.
@@ -83,15 +85,13 @@ func compile(p *mqo.Problem, opt Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	isingProblem := ising.FromQUBO(phys.QUBO)
-	program := anneal.Compile(isingProblem)
+	program := anneal.Compile(ising.FromQUBO(phys.QUBO))
 	mapping.QUBO.Freeze()
 	phys.QUBO.Freeze()
 	return &Compiled{
 		Mapping:           mapping,
 		Emb:               emb,
 		Phys:              phys,
-		Ising:             isingProblem,
 		Program:           program,
 		UsedTriadFallback: fallback,
 		PrepTime:          time.Since(start),

@@ -232,7 +232,6 @@ func QuantumMQO(ctx context.Context, p *mqo.Problem, opt Options, seed int64) (*
 		return nil, err
 	}
 	mapping, phys := comp.Mapping, comp.Phys
-	isingProblem := comp.Ising
 
 	res := &Result{
 		QubitsUsed:        comp.Emb.NumQubits(),
@@ -274,9 +273,9 @@ func QuantumMQO(ctx context.Context, p *mqo.Problem, opt Options, seed int64) (*
 	ferr := exec.ForEachOrdered(ctx, opt.Parallelism, len(batches),
 		func(tctx context.Context, i int) (*batchResult, error) {
 			sc := &scratches[exec.WorkerID(tctx)]
-			sc.grow(isingProblem.N(), phys.Logical.N(), p.NumQueries(), p.NumPlans())
+			sc.grow(original.N, phys.Logical.N(), p.NumQueries(), p.NumPlans())
 			br := &batchResult{outs: make([]readout, 0, batches[i].Runs)}
-			device.StreamBatch(tctx, isingProblem, original, batches[i], &sc.dw, func(s dwave.Readout) bool {
+			device.StreamBatch(tctx, nil, original, batches[i], &sc.dw, func(s dwave.Readout) bool {
 				anneal.UnpackBits(s.Words, sc.bits)
 				phys.UnembedInto(sc.bits, sc.logical)
 				ro := readout{elapsed: s.Elapsed, broken: phys.BrokenChains(sc.bits) > 0}

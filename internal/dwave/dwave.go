@@ -220,29 +220,31 @@ func (sc *Scratch) grow(n int) {
 // StreamBatch executes one gauge batch sequentially, yielding each
 // read-out in run order through sc without materializing any of them.
 // Spins and energies are expressed in the problem's original gauge.
-// original is p compiled in the identity gauge; sessions compile it once
-// and share it across batches (nil compiles on the spot). The batch is
-// deterministic in b alone, which is what lets it run on any worker
-// without changing results. A cancelled ctx stops between runs; yield
-// returning false aborts the remainder.
+// original is p compiled in the identity gauge; callers compile it once
+// and share it across batches. p is read only when original is nil,
+// which compiles it on the spot. The batch is deterministic in b alone,
+// which is what lets it run on any worker without changing results. A
+// cancelled ctx stops between runs; yield returning false aborts the
+// remainder.
 func (d *Device) StreamBatch(ctx context.Context, p *ising.Problem, original *anneal.Compiled, b Batch, sc *Scratch, yield func(Readout) bool) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rng := rand.New(rand.NewSource(b.Seed))
-	gauge := ising.RandomGauge(rng, p.N())
-	if d.DisableGauges {
-		gauge = ising.IdentityGauge(p.N())
-	}
 	if original == nil {
 		original = anneal.Compile(p)
+	}
+	n := original.N
+	rng := rand.New(rand.NewSource(b.Seed))
+	gauge := ising.RandomGauge(rng, n)
+	if d.DisableGauges {
+		gauge = ising.IdentityGauge(n)
 	}
 	// Transform the shared identity-gauge program directly in CSR form:
 	// cheaper than rebuilding the Ising problem per batch, and the
 	// inherited neighbor order keeps rounding — and therefore read-outs
 	// — identical across gauge representations.
 	compiled := original.ApplyGauge(gauge.Flip)
-	sc.grow(p.N())
+	sc.grow(n)
 	anneal.PackBools(gauge.Flip, sc.gauge)
 	// Warm start: the caller's identity-gauge incumbent state, expressed
 	// in this batch's gauge. Gauging negates the flipped spins, which in

@@ -110,16 +110,6 @@ func Generate(rng *rand.Rand, class Class, cfg GeneratorConfig) *Problem {
 	return p
 }
 
-// GenerateBatch builds n instances of the class with deterministic
-// per-instance seeds derived from the generator's stream.
-func GenerateBatch(rng *rand.Rand, class Class, cfg GeneratorConfig, n int) []*Problem {
-	out := make([]*Problem, n)
-	for i := range out {
-		out[i] = Generate(rng, class, cfg)
-	}
-	return out
-}
-
 // RandomSolution returns a uniformly random valid solution, used to seed
 // randomized solvers.
 func (p *Problem) RandomSolution(rng *rand.Rand) Solution {
