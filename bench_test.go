@@ -395,9 +395,10 @@ func BenchmarkAnnealingRun(b *testing.B) {
 	compiled := anneal.Compile(ising.FromQUBO(phys.QUBO))
 	sa := anneal.DefaultSA()
 	rng := rand.New(rand.NewSource(4))
+	var sc anneal.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sa.Sample(compiled, rng)
+		sa.SampleInto(compiled, rng, &sc)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig4|fig5|fig6|fig7|table1|throughput|topology|workload|cluster|session|autotune|all")
+	experiment := flag.String("experiment", "all", experiments)
 	instances := flag.Int("instances", 3, "instances per class (paper: 20)")
 	budget := flag.Duration("budget", 2*time.Second, "classical solver budget (paper: 100s)")
 	runs := flag.Int("runs", 1000, "annealing runs per instance (paper: 1000)")
@@ -64,6 +64,9 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// experiments is the -experiment help text: every name run accepts.
+const experiments = "fig4|fig5|fig6|fig7|table1|topology|workload|cluster|session|autotune|all"
 
 // topologyClass is the workload of the topology panel: 16 plans keep
 // the complete-graph pattern within every kind's embedder envelope
@@ -105,13 +108,6 @@ func run(ctx context.Context, cfg bench.Config, experiment string, w io.Writer) 
 		return nil
 	case "fig7":
 		bench.RenderFig7(w, bench.RunFig7(bench.DefaultFig7Plans()))
-		return nil
-	case "throughput":
-		res, err := bench.RunThroughput(ctx, cfg, mqopt.Class{Queries: 45, PlansPerQuery: 2}, 50)
-		if err != nil {
-			return err
-		}
-		bench.RenderThroughput(w, res)
 		return nil
 	case "topology":
 		rows, err := bench.RunTopology(ctx, cfg, topologyClass)
@@ -176,13 +172,6 @@ func run(ctx context.Context, cfg bench.Config, experiment string, w io.Writer) 
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "=== Figure 7 ===")
 		bench.RenderFig7(w, bench.RunFig7(bench.DefaultFig7Plans()))
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "=== Throughput (compilation cache) ===")
-		tres, err := bench.RunThroughput(ctx, cfg, mqopt.Class{Queries: 45, PlansPerQuery: 2}, 50)
-		if err != nil {
-			return err
-		}
-		bench.RenderThroughput(w, tres)
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "=== Topology panel (Chimera vs Pegasus vs Zephyr) ===")
 		trows, err := bench.RunTopology(ctx, cfg, topologyClass)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,6 +60,23 @@ func TestGoldenFig7(t *testing.T) {
 	}
 	if got := buf.String(); got != want.Output {
 		t.Errorf("fig7 output diverges:\n--- got ---\n%s\n--- want ---\n%s", got, want.Output)
+	}
+}
+
+// TestExperimentNames: every name the -experiment help lists reaches
+// an experiment (checked on a cancelled context, so none runs to the
+// end), and the deleted throughput panel is an unknown experiment.
+func TestExperimentNames(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range strings.Split(experiments, "|") {
+		if err := run(ctx, bench.DefaultConfig(), name, io.Discard); err != nil && !errors.Is(err, context.Canceled) {
+			t.Errorf("-experiment %s: %v", name, err)
+		}
+	}
+	err := run(context.Background(), bench.DefaultConfig(), "throughput", io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("-experiment throughput: err = %v, want unknown experiment", err)
 	}
 }
 

@@ -83,7 +83,8 @@
 // sheds immediately with 429 Too Many Requests and a Retry-After header
 // (-retry-after) instead of letting a backlog grow. Request bodies are
 // bounded (-max-body, 413 beyond), and decoding is strict: unknown
-// fields and trailing data are 400s.
+// fields and trailing data are 400s. A connection whose request headers
+// take longer than 10 s to arrive is closed.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: listeners close, in-flight
 // requests get -shutdown-timeout to finish, then the service drains.
@@ -233,10 +234,24 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a request's headers may take to
+// arrive, so a client that stalls mid-header cannot hold its connection
+// and goroutine forever. On a kept-alive connection net/http starts the
+// timer at the next request's first bytes, so idle connections are
+// unaffected. ReadTimeout stays unset: its deadline would outlive the
+// headers, and when it fired net/http would cancel the request context
+// of a long solve still running in the handler.
+const readHeaderTimeout = 10 * time.Second
+
+// newServer returns the HTTP server for one role's handler.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // serve runs one HTTP server until SIGINT/SIGTERM, then shuts down
 // gracefully and calls cleanup.
 func serve(addr string, handler http.Handler, grace time.Duration, cleanup func()) {
-	server := &http.Server{Addr: addr, Handler: handler}
+	server := newServer(addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -194,6 +195,61 @@ func TestHealthz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz status %d", resp.StatusCode)
+	}
+}
+
+// TestHeaderDeadline: the server closes a connection that stalls
+// mid-header, while a kept-alive connection may idle past the deadline
+// and still send its next request.
+func TestHeaderDeadline(t *testing.T) {
+	if s := newServer("", nil); s.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 || s.ReadTimeout != 0 {
+		t.Fatalf("read deadlines: header %v, whole request %v; want %v and none",
+			s.ReadHeaderTimeout, s.ReadTimeout, readHeaderTimeout)
+	}
+	const deadline = 100 * time.Millisecond
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	srv.Config = newServer("", srv.Config.Handler)
+	srv.Config.ReadHeaderTimeout = deadline
+	srv.Start()
+	defer srv.Close()
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	stalled := dial()
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := io.Copy(io.Discard, stalled); err != nil || n != 0 {
+		t.Fatalf("stalled connection: read %d bytes, err %v; want the server to close it silently", n, err)
+	}
+
+	idle := dial()
+	defer idle.Close()
+	r := bufio.NewReader(idle)
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			time.Sleep(3 * deadline)
+		}
+		if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(r, nil)
+		if err != nil {
+			t.Fatalf("request %d on the kept-alive connection: %v", i, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/chimera"
 	"repro/internal/core"
 	"repro/internal/embedding"
-	"repro/internal/ilp"
 	"repro/internal/ising"
 	"repro/internal/logical"
 	"repro/internal/mqo"
@@ -20,9 +19,9 @@ import (
 )
 
 // TestEndToEndAllSolversAgreeOnOptimum runs every solver in the repository
-// (quantum pipeline, both branch-and-bounds, the LP-based ILP, GA, hill
-// climbing) on the same instance and checks they converge on the same
-// optimal cost computed by the exact DP reference.
+// (quantum pipeline, both branch-and-bounds, GA, hill climbing) on the
+// same instance and checks they converge on the same optimal cost
+// computed by the exact DP reference.
 func TestEndToEndAllSolversAgreeOnOptimum(t *testing.T) {
 	g := chimera.DWave2X(0, 0)
 	rng := rand.New(rand.NewSource(42))
@@ -75,14 +74,6 @@ func TestEndToEndAllSolversAgreeOnOptimum(t *testing.T) {
 		}
 		check("LIN-QUB", cost, 0.25)
 	}
-
-	// LP-based ILP (the genuine IP solver).
-	model := ilp.BuildMQO(p)
-	ilpRes, err := model.Solve(ilp.Options{Deadline: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("ILP(LP)", ilpRes.Objective, 0)
 
 	// Heuristics get a small tolerance.
 	for _, s := range []solvers.Solver{solvers.NewGenetic(50), solvers.HillClimb{}} {

@@ -17,14 +17,9 @@ import (
 // Sampler draws one read-out from an annealing run on a physical Ising
 // problem. Implementations must be deterministic given the rng.
 type Sampler interface {
-	// Sample runs one anneal and returns the resulting spins in a fresh
-	// slice. It is the materializing convenience form of SampleInto.
-	Sample(p *Compiled, rng *rand.Rand) []int8
 	// SampleInto runs one anneal writing the read-out into the
 	// caller-owned scratch arena (retrieve it with sc.Words or
-	// sc.Spins); steady-state calls allocate nothing. For a given rng
-	// state it consumes the identical rng sequence and produces the
-	// identical read-out as Sample.
+	// sc.Spins); steady-state calls allocate nothing.
 	SampleInto(p *Compiled, rng *rand.Rand, sc *Scratch)
 	// Name identifies the sampler in reports.
 	Name() string
@@ -212,16 +207,6 @@ func DefaultSA() *SimulatedAnnealer {
 // Name implements Sampler.
 func (sa *SimulatedAnnealer) Name() string { return "SA" }
 
-// Sample implements Sampler by running SampleInto on a private scratch
-// and copying the read-out out.
-func (sa *SimulatedAnnealer) Sample(c *Compiled, rng *rand.Rand) []int8 {
-	var sc Scratch
-	sa.SampleInto(c, rng, &sc)
-	out := make([]int8, c.N)
-	copy(out, sc.Spins())
-	return out
-}
-
 // SQA is a simulated quantum annealer: path-integral Monte Carlo over P
 // Trotter replicas of the spin system with a decreasing transverse field
 // Γ. Replicas are ferromagnetically coupled with strength
@@ -247,16 +232,3 @@ func DefaultSQA() *SQA {
 
 // Name implements Sampler.
 func (q *SQA) Name() string { return "SQA" }
-
-// Sample implements Sampler by running SampleInto on a private scratch
-// and copying the read-out out.
-func (q *SQA) Sample(c *Compiled, rng *rand.Rand) []int8 {
-	if c.N == 0 {
-		return nil
-	}
-	var sc Scratch
-	q.SampleInto(c, rng, &sc)
-	out := make([]int8, c.N)
-	copy(out, sc.Spins())
-	return out
-}

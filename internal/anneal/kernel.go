@@ -7,7 +7,7 @@ import (
 
 // This file is the allocation-free streaming kernel behind Sampler. The
 // sweep inner loops dominate every QA solve (profiles put ~85% of a
-// QuantumMQO call inside Sample), so the kernel trades the generic
+// QuantumMQO call inside SampleInto), so the kernel trades the generic
 // CSR-offset walk for a layout and caching scheme tuned to the low-degree
 // annealer topologies (Chimera deg ≤ 6, Pegasus ≤ 15, Zephyr ≤ 20):
 //
@@ -194,7 +194,7 @@ func (c *Compiled) PackedEnergy(words []uint64) float64 {
 // OWNERSHIP CONTRACT: the views returned by Words and Spins alias the
 // scratch and are valid only until the next SampleInto (or Spins) call
 // on the same Scratch. Callers that retain a read-out past that point —
-// an incumbent, a materialized Sample — must copy it out first.
+// an incumbent, say — must copy it out first.
 type Scratch struct {
 	n     int      // spins in the last read-out
 	out   []uint64 // read-out words (SA: working state; SQA: best replica)
@@ -330,7 +330,8 @@ func (c *Compiled) sweep(rng *rand.Rand, words []uint64, delta []float64, dirty 
 
 // SampleInto implements Sampler for SimulatedAnnealer, writing the
 // read-out into sc (retrieve it with sc.Words or sc.Spins). It draws
-// exactly the rng sequence of the historical materializing Sample.
+// exactly the rng sequence of the naive reference sampler that
+// internal/proptest retains.
 func (sa *SimulatedAnnealer) SampleInto(c *Compiled, rng *rand.Rand, sc *Scratch) {
 	sc.grow(c.N)
 	RandomSpinsInto(rng, c.N, sc.out)
@@ -380,8 +381,8 @@ func (sa *SimulatedAnnealer) SampleWarmInto(c *Compiled, rng *rand.Rand, sc *Scr
 }
 
 // SampleInto implements Sampler for SQA, writing the best replica's
-// read-out into sc. It draws exactly the rng sequence of the historical
-// materializing Sample.
+// read-out into sc. It draws exactly the rng sequence of the naive
+// reference sampler that internal/proptest retains.
 func (q *SQA) SampleInto(c *Compiled, rng *rand.Rand, sc *Scratch) {
 	if c.N == 0 {
 		sc.grow(0)

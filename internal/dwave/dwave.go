@@ -20,12 +20,10 @@ package dwave
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"time"
 
 	"repro/internal/anneal"
-	"repro/internal/exec"
 	"repro/internal/ising"
 	"repro/internal/splitmix"
 )
@@ -57,10 +55,6 @@ type Device struct {
 	// gauge ablation; the paper uses 10 random gauges per test case to
 	// cancel qubit biases).
 	DisableGauges bool
-	// Parallelism bounds how many gauge batches sample concurrently;
-	// non-positive uses one worker per CPU. Output is identical at every
-	// setting — only wall-clock changes.
-	Parallelism int
 	// Warm, when non-nil and the Sampler implements anneal.WarmSampler,
 	// starts every annealing run from this packed identity-gauge spin
 	// state (bit set ⇔ spin −1, WordsFor(N) words, trailing bits clear)
@@ -127,15 +121,6 @@ func NewDeviceFor(kind string, s anneal.Sampler) *Device {
 // TimePerSample is the modeled device time per annealing run + read-out.
 func (d *Device) TimePerSample() time.Duration { return d.AnnealTime + d.ReadoutTime }
 
-// Sample is one read-out: the spins (in the problem's original gauge) and
-// their energy.
-type Sample struct {
-	Spins  []int8
-	Energy float64
-	// Elapsed is the modeled device time when this read-out completed.
-	Elapsed time.Duration
-}
-
 // Batch describes one gauge batch of a sampling session: Runs annealing
 // runs under a single gauge transformation, drawn from the batch's
 // private random stream.
@@ -185,7 +170,7 @@ func (d *Device) Batches(runs int, seed int64) []Batch {
 // original gauge, their energy, and the modeled completion time. The
 // Words view aliases the worker's Scratch and is valid ONLY during the
 // StreamBatch yield that delivered it — consumers decode-then-discard,
-// copying out only what they keep (an incumbent, a materialized Sample).
+// copying out only what they keep (an incumbent).
 type Readout struct {
 	Words   []uint64
 	Energy  float64
@@ -281,110 +266,4 @@ func (d *Device) StreamBatch(ctx context.Context, p *ising.Problem, original *an
 			return
 		}
 	}
-}
-
-// SampleBatch executes one gauge batch sequentially and returns its
-// read-outs materialized in run order — the convenience form of
-// StreamBatch for consumers that keep whole batches. A cancelled ctx
-// stops between runs, returning the read-outs completed so far.
-func (d *Device) SampleBatch(ctx context.Context, p *ising.Problem, original *anneal.Compiled, b Batch) []Sample {
-	out := make([]Sample, 0, b.Runs)
-	var sc Scratch
-	d.StreamBatch(ctx, p, original, b, &sc, func(ro Readout) bool {
-		spins := make([]int8, p.N())
-		anneal.UnpackSpins(ro.Words, spins)
-		out = append(out, Sample{Spins: spins, Energy: ro.Energy, Elapsed: ro.Elapsed})
-		return true
-	})
-	return out
-}
-
-// SampleIsing performs runs annealing cycles on p (non-positive selects
-// the paper's 1000), applying a fresh random gauge transformation every
-// RunsPerGauge runs ("a gauge transformation selects for each qubit the
-// physical state representing a one randomly"). Batches are sampled
-// concurrently under d.Parallelism; the onSample callback, if non-nil,
-// still observes every read-out in strict run order — returning false
-// aborts the undelivered remainder (the hook context-aware callers use to
-// cancel mid-flight), and a cancelled ctx stops scheduling promptly. The
-// best sample seen is returned; for a fixed seed it is bit-identical at
-// any parallelism.
-func (d *Device) SampleIsing(ctx context.Context, p *ising.Problem, runs int, seed int64, onSample func(Sample) bool) Sample {
-	batches := d.Batches(runs, seed)
-	original := anneal.Compile(p)
-	best := Sample{}
-	haveBest := false
-	var err error
-	if onSample == nil {
-		// Streaming path: no caller observes individual read-outs, so
-		// nothing is materialized. Workers stream batches through
-		// per-worker arenas and keep only each batch's incumbent (first
-		// run achieving the batch minimum — copied out of the scratch on
-		// strict improvement only); the in-order merge keeps the first
-		// batch achieving the global minimum, which is exactly the run
-		// the materializing scan would have kept.
-		type batchBest struct {
-			words   []uint64
-			energy  float64
-			elapsed time.Duration
-			have    bool
-		}
-		scratches := make([]Scratch, exec.Parallelism(d.Parallelism))
-		var bestWords []uint64
-		err = exec.ForEachOrdered(ctx, d.Parallelism, len(batches),
-			func(tctx context.Context, i int) (*batchBest, error) {
-				sc := &scratches[exec.WorkerID(tctx)]
-				bb := &batchBest{}
-				d.StreamBatch(tctx, p, original, batches[i], sc, func(ro Readout) bool {
-					if !bb.have || ro.Energy < bb.energy {
-						bb.words = append(bb.words[:0], ro.Words...)
-						bb.energy = ro.Energy
-						bb.elapsed = ro.Elapsed
-						bb.have = true
-					}
-					return true
-				})
-				return bb, nil
-			},
-			func(_ int, bb *batchBest) bool {
-				if bb.have && (!haveBest || bb.energy < best.Energy) {
-					bestWords = append(bestWords[:0], bb.words...)
-					best.Energy = bb.energy
-					best.Elapsed = bb.elapsed
-					haveBest = true
-				}
-				return true
-			})
-		if haveBest {
-			best.Spins = make([]int8, p.N())
-			anneal.UnpackSpins(bestWords, best.Spins)
-		}
-	} else {
-		// Materializing path: the callback may retain delivered Samples,
-		// so each batch is materialized and streamed to it in run order.
-		err = exec.ForEachOrdered(ctx, d.Parallelism, len(batches),
-			func(tctx context.Context, i int) ([]Sample, error) {
-				return d.SampleBatch(tctx, p, original, batches[i]), nil
-			},
-			func(_ int, samples []Sample) bool {
-				for _, s := range samples {
-					keepGoing := onSample(s)
-					if !haveBest || s.Energy < best.Energy {
-						best = s
-						haveBest = true
-					}
-					if !keepGoing {
-						return false
-					}
-				}
-				return true
-			})
-	}
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		// The batch tasks never return errors, so anything besides a
-		// cancellation is a captured worker panic; re-raise it rather
-		// than silently returning a zero-value best sample.
-		panic(err)
-	}
-	return best
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -22,23 +21,66 @@ func trivialProblem(n int) *ising.Problem {
 	return ising.FromQUBO(q)
 }
 
+func randomProblem(seed int64, n int) *ising.Problem {
+	rng := rand.New(rand.NewSource(seed))
+	q := qubo.New(n)
+	for i := 0; i < n; i++ {
+		q.AddLinear(i, rng.NormFloat64())
+		for j := i + 1; j < n; j++ {
+			q.AddQuadratic(i, j, rng.NormFloat64())
+		}
+	}
+	return ising.FromQUBO(q)
+}
+
+// reading is one read-out copied out of the scratch it was streamed
+// through.
+type reading struct {
+	Spins   []int8
+	Energy  float64
+	Elapsed time.Duration
+}
+
+// streamBatch streams one batch of c, shared across batches the way
+// core shares it, and returns its read-outs in run order.
+func streamBatch(d *Device, c *anneal.Compiled, b Batch, sc *Scratch) []reading {
+	var out []reading
+	d.StreamBatch(context.Background(), nil, c, b, sc, func(ro Readout) bool {
+		spins := make([]int8, c.N)
+		anneal.UnpackSpins(ro.Words, spins)
+		out = append(out, reading{Spins: spins, Energy: ro.Energy, Elapsed: ro.Elapsed})
+		return true
+	})
+	return out
+}
+
+// session streams every batch of a runs-run session in order through
+// one reused scratch and returns all read-outs.
+func session(d *Device, p *ising.Problem, runs int, seed int64) []reading {
+	c := anneal.Compile(p)
+	var sc Scratch
+	var out []reading
+	for _, b := range d.Batches(runs, seed) {
+		out = append(out, streamBatch(d, c, b, &sc)...)
+	}
+	return out
+}
+
+// TestTimingModel: every read-out completes at (run index + 1) · 376 µs
+// of modeled device time, continuing across gauge batches.
 func TestTimingModel(t *testing.T) {
 	d := NewDWave2X(DefaultSampler())
 	if d.TimePerSample() != 376*time.Microsecond {
 		t.Errorf("TimePerSample = %v, want 376µs (129 anneal + 247 readout)", d.TimePerSample())
 	}
-	p := trivialProblem(4)
-	var elapsed []time.Duration
-	d.SampleIsing(context.Background(), p, 5, 1, func(s Sample) bool {
-		elapsed = append(elapsed, s.Elapsed)
-		return true
-	})
-	if len(elapsed) != 5 {
-		t.Fatalf("observed %d samples, want 5", len(elapsed))
+	d.RunsPerGauge = 2
+	got := session(d, trivialProblem(4), 5, 1)
+	if len(got) != 5 {
+		t.Fatalf("observed %d read-outs, want 5", len(got))
 	}
-	for i, e := range elapsed {
-		if want := time.Duration(i+1) * 376 * time.Microsecond; e != want {
-			t.Errorf("sample %d elapsed %v, want %v", i, e, want)
+	for i, r := range got {
+		if want := time.Duration(i+1) * 376 * time.Microsecond; r.Elapsed != want {
+			t.Errorf("read-out %d elapsed %v, want %v", i, r.Elapsed, want)
 		}
 	}
 }
@@ -46,37 +88,37 @@ func TestTimingModel(t *testing.T) {
 func TestFindsTrivialGroundState(t *testing.T) {
 	d := NewDWave2X(DefaultSampler())
 	p := trivialProblem(10)
-	best := d.SampleIsing(context.Background(), p, 20, 2, nil)
+	best := math.Inf(1)
+	for _, r := range session(d, p, 20, 2) {
+		best = math.Min(best, r.Energy)
+	}
 	// Ground: all spins +1, energy = offset-adjusted -10.
 	c := anneal.Compile(p)
 	all1 := make([]int8, 10)
 	for i := range all1 {
 		all1[i] = 1
 	}
-	want := c.Energy(all1)
-	if math.Abs(best.Energy-want) > 1e-9 {
-		t.Errorf("best energy %v, want %v", best.Energy, want)
+	if want := c.Energy(all1); math.Abs(best-want) > 1e-9 {
+		t.Errorf("best energy %v, want %v", best, want)
 	}
 }
 
 func TestGaugeBatching(t *testing.T) {
-	// With RunsPerGauge = 2 and 5 runs, three gauges are drawn. The
-	// returned energies must all be evaluated in the ORIGINAL frame:
-	// verify each sample's energy matches its spins.
+	// With RunsPerGauge = 2 and 5 runs, three gauges are drawn. Every
+	// energy must be evaluated in the ORIGINAL frame: verify each
+	// read-out's energy matches its spins.
 	d := NewDWave2X(DefaultSampler())
 	d.RunsPerGauge = 2
-	p := trivialProblem(6)
+	p := randomProblem(3, 6)
 	c := anneal.Compile(p)
-	n := 0
-	d.SampleIsing(context.Background(), p, 5, 3, func(s Sample) bool {
-		n++
-		if math.Abs(c.Energy(s.Spins)-s.Energy) > 1e-9 {
-			t.Errorf("sample energy %v does not match spins (%v)", s.Energy, c.Energy(s.Spins))
+	got := session(d, p, 5, 3)
+	if len(got) != 5 {
+		t.Errorf("streamed %d read-outs, want 5", len(got))
+	}
+	for _, r := range got {
+		if math.Abs(c.Energy(r.Spins)-r.Energy) > 1e-9 {
+			t.Errorf("read-out energy %v does not match spins (%v)", r.Energy, c.Energy(r.Spins))
 		}
-		return true
-	})
-	if n != 5 {
-		t.Errorf("callback saw %d samples, want 5", n)
 	}
 }
 
@@ -105,120 +147,86 @@ func TestBatchesSchedule(t *testing.T) {
 	}
 }
 
-func TestBestSampleIsMinimum(t *testing.T) {
-	d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 2, BetaStart: 0.1, BetaEnd: 1})
-	rng := rand.New(rand.NewSource(4))
-	q := qubo.New(8)
-	for i := 0; i < 8; i++ {
-		q.AddLinear(i, rng.NormFloat64())
-		for j := i + 1; j < 8; j++ {
-			q.AddQuadratic(i, j, rng.NormFloat64())
-		}
-	}
-	p := ising.FromQUBO(q)
-	var seen []float64
-	best := d.SampleIsing(context.Background(), p, 30, 4, func(s Sample) bool { seen = append(seen, s.Energy); return true })
-	for _, e := range seen {
-		if e < best.Energy-1e-12 {
-			t.Errorf("best %v not minimal (saw %v)", best.Energy, e)
-		}
-	}
-}
-
+// TestDefaultRunsApplied: a non-positive run count streams the paper's
+// 1000 runs, ending at 1000 · 376 µs of modeled time.
 func TestDefaultRunsApplied(t *testing.T) {
 	d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 1, BetaStart: 1, BetaEnd: 1})
-	p := trivialProblem(2)
-	n := 0
-	d.SampleIsing(context.Background(), p, 0, 5, func(Sample) bool { n++; return true })
-	if n != PaperTotalRuns {
-		t.Errorf("default runs = %d, want %d", n, PaperTotalRuns)
+	got := session(d, trivialProblem(2), 0, 5)
+	if len(got) != PaperTotalRuns {
+		t.Fatalf("default runs = %d, want %d", len(got), PaperTotalRuns)
+	}
+	if last, want := got[len(got)-1].Elapsed, PaperTotalRuns*d.TimePerSample(); last != want {
+		t.Errorf("last read-out at %v, want %v", last, want)
 	}
 }
 
-func TestSampleIsingAbortsWhenCallbackReturnsFalse(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 1, BetaStart: 1, BetaEnd: 1})
-		d.RunsPerGauge = 10
-		d.Parallelism = par
-		p := trivialProblem(2)
-		n := 0
-		d.SampleIsing(context.Background(), p, 100, 6, func(Sample) bool {
-			n++
-			return n < 7
-		})
-		if n != 7 {
-			t.Errorf("parallelism %d: callback ran %d times after requesting abort at 7", par, n)
-		}
-	}
-}
-
-// collectSession runs a full session and returns every read-out in
-// delivery order.
-func collectSession(d *Device, p *ising.Problem, runs int, seed int64) []Sample {
-	var out []Sample
-	d.SampleIsing(context.Background(), p, runs, seed, func(s Sample) bool {
-		cp := s
-		cp.Spins = append([]int8(nil), s.Spins...)
-		out = append(out, cp)
-		return true
-	})
-	return out
-}
-
-func TestSampleIsingDeterministicAcrossParallelism(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	q := qubo.New(12)
-	for i := 0; i < 12; i++ {
-		q.AddLinear(i, rng.NormFloat64())
-		for j := i + 1; j < 12; j++ {
-			q.AddQuadratic(i, j, rng.NormFloat64())
-		}
-	}
-	p := ising.FromQUBO(q)
-
-	reference := func(par int) []Sample {
-		d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 4, BetaStart: 0.1, BetaEnd: 4})
-		d.RunsPerGauge = 25
-		d.Parallelism = par
-		return collectSession(d, p, 130, 42)
-	}
-	want := reference(1)
-	if len(want) != 130 {
-		t.Fatalf("sequential session yielded %d samples", len(want))
-	}
-	for _, par := range []int{4, runtime.GOMAXPROCS(0)} {
-		got := reference(par)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: spins/energies/clock diverge from sequential run", par)
-		}
-	}
-	// A different seed must change the stream (the split is not constant).
-	d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 4, BetaStart: 0.1, BetaEnd: 4})
-	d.RunsPerGauge = 25
-	if other := collectSession(d, p, 130, 43); reflect.DeepEqual(other, want) {
-		t.Error("seed 42 and 43 produced identical sessions")
-	}
-}
-
-func TestSampleIsingCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+func TestStreamBatchStopsWhenYieldReturnsFalse(t *testing.T) {
 	d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 1, BetaStart: 1, BetaEnd: 1})
 	d.RunsPerGauge = 10
-	d.Parallelism = 4
-	p := trivialProblem(2)
 	n := 0
-	best := d.SampleIsing(ctx, p, 1000, 8, func(Sample) bool {
+	var sc Scratch
+	d.StreamBatch(context.Background(), trivialProblem(2), nil, d.Batches(10, 6)[0], &sc, func(Readout) bool {
+		n++
+		return n < 7
+	})
+	if n != 7 {
+		t.Errorf("yield ran %d times after requesting a stop at 7", n)
+	}
+}
+
+// TestStreamBatchCancellation: a cancelled ctx stops the batch between
+// runs, and a batch started on a cancelled ctx yields nothing.
+func TestStreamBatchCancellation(t *testing.T) {
+	d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 1, BetaStart: 1, BetaEnd: 1})
+	p := trivialProblem(2)
+	b := d.Batches(100, 8)[0]
+	var sc Scratch
+	ctx, cancel := context.WithCancel(context.Background())
+	n := 0
+	d.StreamBatch(ctx, p, nil, b, &sc, func(Readout) bool {
 		n++
 		if n == 25 {
 			cancel()
 		}
 		return true
 	})
-	if n >= 1000 {
-		t.Errorf("cancellation did not stop the session (saw %d read-outs)", n)
+	if n != 25 {
+		t.Errorf("cancellation after read-out 25 let %d read-outs through", n)
 	}
-	if len(best.Spins) == 0 {
-		t.Error("cancelled session lost the best-so-far sample")
+	d.StreamBatch(ctx, p, nil, b, &sc, func(Readout) bool {
+		t.Fatal("a batch on a cancelled ctx yielded a read-out")
+		return true
+	})
+}
+
+// TestStreamBatchIndependentOfBatchOrder is the property core's batch
+// fan-out relies on: a batch's read-outs depend on the batch alone, not
+// on which batches the worker's scratch streamed before it. Streaming
+// the session in reverse order through a reused scratch must reproduce
+// the forward stream's spins, energies and clock exactly.
+func TestStreamBatchIndependentOfBatchOrder(t *testing.T) {
+	p := randomProblem(9, 12)
+	c := anneal.Compile(p)
+	d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 4, BetaStart: 0.1, BetaEnd: 4})
+	d.RunsPerGauge = 25
+	batches := d.Batches(130, 42)
+
+	var sc Scratch
+	forward := make([][]reading, len(batches))
+	for _, b := range batches {
+		forward[b.Index] = streamBatch(d, c, b, &sc)
+	}
+	if got := len(forward[len(forward)-1]); got != 5 {
+		t.Fatalf("last batch streamed %d read-outs, want 5", got)
+	}
+	for i := len(batches) - 1; i >= 0; i-- {
+		if got := streamBatch(d, c, batches[i], &sc); !reflect.DeepEqual(got, forward[i]) {
+			t.Fatalf("batch %d: reverse-order read-outs diverge from forward order", i)
+		}
+	}
+	// A different seed must change the stream (the split is not constant).
+	if other := session(d, p, 130, 43); reflect.DeepEqual(other, session(d, p, 130, 42)) {
+		t.Error("seed 42 and 43 produced identical sessions")
 	}
 }
 

@@ -3,9 +3,11 @@ package dwave
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/anneal"
+	"repro/internal/exec"
 )
 
 // TestWarmStartGaugeRoundTrip pins the gauge algebra of the warm path:
@@ -33,28 +35,31 @@ func TestWarmStartGaugeRoundTrip(t *testing.T) {
 }
 
 // TestWarmStartDeterministicAtAnyParallelism extends the determinism
-// contract to warm sessions: the best sample of a warm SampleIsing is
-// bit-identical at 1 and many workers.
+// contract to warm sessions: fanning the batches out over 1 or 8
+// workers, each streaming through its own worker-slot scratch as core
+// does, yields bit-identical read-outs.
 func TestWarmStartDeterministicAtAnyParallelism(t *testing.T) {
 	p := trivialProblem(40)
+	c := anneal.Compile(p)
 	warm := make([]uint64, anneal.WordsFor(p.N()))
 	anneal.RandomSpinsInto(rand.New(rand.NewSource(2)), p.N(), warm)
+	d := NewDWave2X(anneal.DefaultSA())
+	d.Warm = warm
+	batches := d.Batches(500, 9)
 
-	run := func(parallelism int) Sample {
-		d := NewDWave2X(anneal.DefaultSA())
-		d.Warm = warm
-		d.Parallelism = parallelism
-		return d.SampleIsing(context.Background(), p, 500, 9, nil)
-	}
-	a, b := run(1), run(8)
-	if a.Energy != b.Energy || a.Elapsed != b.Elapsed {
-		t.Fatalf("warm solve diverges across parallelism: (%v, %v) vs (%v, %v)",
-			a.Energy, a.Elapsed, b.Energy, b.Elapsed)
-	}
-	for i := range a.Spins {
-		if a.Spins[i] != b.Spins[i] {
-			t.Fatalf("warm solve spins diverge at %d", i)
+	run := func(parallelism int) [][]reading {
+		scratches := make([]Scratch, exec.Parallelism(parallelism))
+		out, err := exec.Map(context.Background(), parallelism, len(batches),
+			func(tctx context.Context, i int) ([]reading, error) {
+				return streamBatch(d, c, batches[i], &scratches[exec.WorkerID(tctx)]), nil
+			})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return out
+	}
+	if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {
+		t.Fatal("warm session read-outs diverge across parallelism")
 	}
 }
 
@@ -73,9 +78,7 @@ func TestWarmIgnoredWithoutWarmSampler(t *testing.T) {
 	warmDev := NewDWave2X(coldOnly{anneal.DefaultSA()})
 	warmDev.Warm = warm
 
-	a := cold.SampleIsing(context.Background(), p, 200, 4, nil)
-	b := warmDev.SampleIsing(context.Background(), p, 200, 4, nil)
-	if a.Energy != b.Energy {
-		t.Fatalf("Warm changed a non-warm sampler's result: %v vs %v", a.Energy, b.Energy)
+	if a, b := session(cold, p, 200, 4), session(warmDev, p, 200, 4); !reflect.DeepEqual(a, b) {
+		t.Fatal("Warm changed a non-warm sampler's read-outs")
 	}
 }

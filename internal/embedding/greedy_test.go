@@ -97,10 +97,8 @@ func TestGreedyDeterministic(t *testing.T) {
 }
 
 func TestGreedyRoutesAroundFaults(t *testing.T) {
-	g, err := topology.NewWithFaults("zephyr", 8, 8, 40, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := topology.NewZephyr(8, 8)
+	topology.BreakRandomQubits(g, 40, 9)
 	emb, err := Greedy(g, 12)
 	if err != nil {
 		t.Fatal(err)

@@ -49,13 +49,15 @@ func TestRunTopologyPanel(t *testing.T) {
 }
 
 // TestRunTopologyDeterministicAcrossParallelism: the panel is part of
-// the repo-wide determinism contract — worker count never changes it.
+// the repo-wide determinism contract — neither the worker count nor
+// turning the compile cache off (mqo-bench -cache=off) changes it.
 func TestRunTopologyDeterministicAcrossParallelism(t *testing.T) {
 	class := mqo.Class{Queries: 6, PlansPerQuery: 2}
 	seq := topologyTestConfig()
 	seq.Parallelism = 1
 	par := topologyTestConfig()
 	par.Parallelism = 4
+	par.DisableCache = true
 	a, err := seq.RunTopology(context.Background(), class)
 	if err != nil {
 		t.Fatal(err)

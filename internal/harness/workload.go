@@ -43,10 +43,9 @@ type WorkloadRow struct {
 
 // WorkloadCachePanel reports the plan-cache sub-panel: a Zipf-skewed
 // stream of workload-derived solve requests against one shared
-// compilation cache. Unlike the synthetic throughput panel (one shape ⇒
-// 100% warm hits), shape popularity follows a Zipf draw, so the hit rate
-// lands where a production mix would: high but below 1, with a tail of
-// cold shapes.
+// compilation cache. Shape popularity follows a Zipf draw rather than
+// repeating one shape (100% warm hits), so the hit rate lands where a
+// production mix would: high but below 1, with a tail of cold shapes.
 type WorkloadCachePanel struct {
 	// Requests in the stream.
 	Requests int

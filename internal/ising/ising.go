@@ -1,13 +1,12 @@
 // Package ising models Ising spin problems, the native formalism of the
 // D-Wave hardware: minimize Σ_i h_i·s_i + Σ_{i<j} J_ij·s_i·s_j over spins
 // s ∈ {−1,+1}^n. It converts to and from QUBO form (the formalism used by
-// the paper's mappings), applies gauge transformations (Section 7.1), and
-// rescales weights into hardware ranges.
+// the paper's mappings) and draws the gauge transformations of Section
+// 7.1, which anneal.Compiled.ApplyGauge applies to compiled programs.
 package ising
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -219,99 +218,3 @@ func RandomGauge(rng *rand.Rand, n int) Gauge {
 
 // IdentityGauge flips nothing.
 func IdentityGauge(n int) Gauge { return Gauge{Flip: make([]bool, n)} }
-
-// Apply returns the gauge-transformed problem. Energies of corresponding
-// states (spins flipped where g.Flip is set) are identical.
-func (p *Problem) ApplyGauge(g Gauge) *Problem {
-	if len(g.Flip) != p.n {
-		panic("ising: gauge size mismatch")
-	}
-	out := New(p.n)
-	out.Offset = p.Offset
-	for i, h := range p.h {
-		if g.Flip[i] {
-			h = -h
-		}
-		out.h[i] = h
-	}
-	for k, w := range p.j {
-		if g.Flip[k[0]] != g.Flip[k[1]] {
-			w = -w
-		}
-		out.AddCoupling(k[0], k[1], w)
-	}
-	return out
-}
-
-// UndoSpins maps a solution of the gauge-transformed problem back to the
-// original spin frame.
-func (g Gauge) UndoSpins(s []int8) []int8 {
-	out := make([]int8, len(s))
-	for i, si := range s {
-		if g.Flip[i] {
-			out[i] = -si
-		} else {
-			out[i] = si
-		}
-	}
-	return out
-}
-
-// Range describes hardware weight limits, e.g. h ∈ [−2, 2], J ∈ [−1, 1] on
-// the D-Wave 2X.
-type Range struct {
-	HMin, HMax float64
-	JMin, JMax float64
-}
-
-// DWave2XRange is the advertised control range of the D-Wave 2X.
-var DWave2XRange = Range{HMin: -2, HMax: 2, JMin: -1, JMax: 1}
-
-// ScaleToRange uniformly rescales h and J by the smallest factor that fits
-// all weights inside r, returning the scaled problem and the factor. The
-// ground state is unchanged (energies scale by the factor; the offset is
-// scaled too so relative comparisons remain meaningful).
-func (p *Problem) ScaleToRange(r Range) (*Problem, float64) {
-	factor := 1.0
-	for _, h := range p.h {
-		if h > 0 && r.HMax > 0 {
-			factor = math.Min(factor, r.HMax/h)
-		}
-		if h < 0 && r.HMin < 0 {
-			factor = math.Min(factor, r.HMin/h)
-		}
-	}
-	for _, w := range p.j {
-		if w > 0 && r.JMax > 0 {
-			factor = math.Min(factor, r.JMax/w)
-		}
-		if w < 0 && r.JMin < 0 {
-			factor = math.Min(factor, r.JMin/w)
-		}
-	}
-	out := New(p.n)
-	out.Offset = p.Offset * factor
-	for i, h := range p.h {
-		out.h[i] = h * factor
-	}
-	for k, w := range p.j {
-		out.AddCoupling(k[0], k[1], w*factor)
-	}
-	return out, factor
-}
-
-// MaxAbsWeight returns the largest |h| or |J|.
-func (p *Problem) MaxAbsWeight() float64 {
-	m := 0.0
-	for _, h := range p.h {
-		if a := math.Abs(h); a > m {
-			m = a
-		}
-	}
-	for _, w := range p.j {
-		if a := math.Abs(w); a > m {
-			m = a
-		}
-	}
-	return m
-}

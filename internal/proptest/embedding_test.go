@@ -184,10 +184,11 @@ func TestPropEmbedUnembedRoundTrip(t *testing.T) {
 func TestPropFaultyTopologiesRouteAroundBrokenQubits(t *testing.T) {
 	for _, kind := range []string{"chimera", "pegasus", "zephyr"} {
 		for iter := 0; iter < embeddingIterations/2; iter++ {
-			g, err := topology.NewWithFaults(kind, 12, 12, 55, int64(iter))
+			g, err := topology.New(kind, 12, 12)
 			if err != nil {
 				t.Fatal(err)
 			}
+			topology.BreakRandomQubits(g, 55, int64(iter))
 			rng := rand.New(rand.NewSource(int64(100 + iter)))
 			mapping, phys := randomEmbeddableCase(t, rng, g)
 			for v, chain := range phys.Emb.Chains {

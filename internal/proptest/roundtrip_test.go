@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/anneal"
 	"repro/internal/ising"
 	"repro/internal/logical"
 	"repro/internal/portfolio"
@@ -106,18 +107,19 @@ func TestPropQUBOIsingEnergyPreserved(t *testing.T) {
 	}
 }
 
-// TestPropGaugeInvariance: a random spin-reversal transformation leaves
-// the energy of corresponding states unchanged, and undoing the spins
-// recovers the original frame.
+// TestPropGaugeInvariance: a random spin-reversal transformation of the
+// compiled program leaves the energy of corresponding states unchanged,
+// and undoing it on a packed read-out — the word-wise XOR against the
+// packed gauge mask that dwave applies — recovers the original frame.
 func TestPropGaugeInvariance(t *testing.T) {
 	for iter := 0; iter < iterations; iter++ {
 		rng := rand.New(rand.NewSource(int64(iter)))
 		p := RandomProblem(rng)
 		is := ising.FromQUBO(logical.Map(p).QUBO)
 		g := ising.RandomGauge(rng, is.N())
-		gauged := is.ApplyGauge(g)
+		gauged := anneal.Compile(is).ApplyGauge(g.Flip)
 		spins := ising.BitsToSpins(RandomAssignment(rng, is.N()))
-		// The gauged problem evaluated at the gauged spins must equal the
+		// The gauged program evaluated at the gauged spins must equal the
 		// original problem at the original spins.
 		gaugedSpins := make([]int8, len(spins))
 		for i, s := range spins {
@@ -130,8 +132,16 @@ func TestPropGaugeInvariance(t *testing.T) {
 		if e0, e1 := is.Energy(spins), gauged.Energy(gaugedSpins); math.Abs(e0-e1) > tol {
 			t.Errorf("iter %d: gauge changed energy %v -> %v", iter, e0, e1)
 		}
-		if got := g.UndoSpins(gaugedSpins); !reflect.DeepEqual(got, spins) {
-			t.Errorf("iter %d: UndoSpins mismatch", iter)
+		words := anneal.WordsFor(is.N())
+		undone, mask, want := make([]uint64, words), make([]uint64, words), make([]uint64, words)
+		anneal.PackSpins(gaugedSpins, undone)
+		anneal.PackBools(g.Flip, mask)
+		anneal.PackSpins(spins, want)
+		for w := range undone {
+			undone[w] ^= mask[w]
+		}
+		if !reflect.DeepEqual(undone, want) {
+			t.Errorf("iter %d: packed gauge undo mismatch", iter)
 		}
 	}
 }

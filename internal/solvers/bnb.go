@@ -18,9 +18,8 @@ import (
 // first incumbent, a solution-polishing phase (the analogue of CPLEX's
 // RINS/polish heuristics) improves it by re-optimizing random windows of
 // queries exactly, and a depth-first branch-and-bound tree proves
-// optimality with an admissible combinatorial bound. internal/ilp
-// provides the genuine LP-relaxation solver and the tests cross-validate
-// the two on small instances.
+// optimality with an admissible combinatorial bound. The tests
+// cross-validate it against exhaustive enumeration on small instances.
 type BranchAndBound struct {
 	// Label overrides the reported name; defaults to "LIN-MQO".
 	Label string

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ilp"
 	"repro/internal/mqo"
 	"repro/internal/trace"
 )
@@ -85,10 +84,11 @@ func TestQUBOBranchAndBoundFindsOptimum(t *testing.T) {
 	}
 }
 
-// TestBranchAndBoundMatchesILP cross-validates the combinatorial
-// branch-and-bound against the LP-relaxation ILP solver on small
-// instances.
-func TestBranchAndBoundMatchesILP(t *testing.T) {
+// TestBranchAndBoundMatchesExhaustive cross-validates the combinatorial
+// branch-and-bound against exhaustive enumeration on small instances
+// (6 queries × 2 plans = 64 assignments), an exact oracle that shares
+// no code with the chain DP.
+func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 	for seed := int64(20); seed < 28; seed++ {
 		p := smallInstance(seed, 6, 2)
 		var tr trace.Trace
@@ -97,13 +97,12 @@ func TestBranchAndBoundMatchesILP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := ilp.BuildMQO(p)
-		res, err := model.Solve(ilp.Options{})
+		_, want, err := p.SolveExhaustive(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(bnbCost-res.Objective) > 1e-6 {
-			t.Errorf("seed %d: B&B %v != ILP %v", seed, bnbCost, res.Objective)
+		if math.Abs(bnbCost-want) > 1e-6 {
+			t.Errorf("seed %d: B&B %v != exhaustive %v", seed, bnbCost, want)
 		}
 	}
 }

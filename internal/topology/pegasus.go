@@ -68,17 +68,6 @@ func pegasusCouples(g *Cellular, a, b int) bool {
 	return dr == 0 && dc == 1 // horizontal external
 }
 
-// Advantage returns the Pegasus analogue of the paper's machine: a
-// 12×12-cell Pegasus grid (1152 qubits at degree ≤ 15) with broken
-// qubits drawn deterministically from seed. Holding the cell grid fixed
-// across kinds keeps qubit budgets comparable; only connectivity — and
-// therefore embedding cost — changes.
-func Advantage(brokenQubits int, seed int64) *Cellular {
-	g := NewPegasus(DefaultRows, DefaultCols)
-	BreakRandomQubits(g, brokenQubits, seed)
-	return g
-}
-
 func init() {
 	Register(PegasusKind, func(rows, cols int) Graph { return NewPegasus(rows, cols) })
 }

@@ -152,17 +152,6 @@ func New(kind string, rows, cols int) (Graph, error) {
 	return f(rows, cols), nil
 }
 
-// NewWithFaults constructs a graph of the named kind and breaks broken
-// qubits at positions drawn deterministically from seed.
-func NewWithFaults(kind string, rows, cols, broken int, seed int64) (Graph, error) {
-	g, err := New(kind, rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	BreakRandomQubits(g, broken, seed)
-	return g, nil
-}
-
 // ChimeraKind is the registry name of the paper's Chimera topology.
 const ChimeraKind = chimera.Kind
 

@@ -224,14 +224,18 @@ func TestQubitAtPanicsOutOfRange(t *testing.T) {
 }
 
 func TestBreakRandomQubitsDeterministic(t *testing.T) {
-	a, _ := NewWithFaults(PegasusKind, 6, 6, 17, 42)
-	b, _ := NewWithFaults(PegasusKind, 6, 6, 17, 42)
+	faulty := func(seed int64) *Cellular {
+		g := NewPegasus(6, 6)
+		BreakRandomQubits(g, 17, seed)
+		return g
+	}
+	a, b := faulty(42), faulty(42)
 	for q := 0; q < a.NumQubits(); q++ {
 		if a.Working(q) != b.Working(q) {
 			t.Fatalf("same seed produced different fault maps at qubit %d", q)
 		}
 	}
-	c, _ := NewWithFaults(PegasusKind, 6, 6, 17, 43)
+	c := faulty(43)
 	same := true
 	for q := 0; q < a.NumQubits(); q++ {
 		if a.Working(q) != c.Working(q) {
@@ -271,7 +275,8 @@ func TestBreakRandomQubitsPanicsOnOverflow(t *testing.T) {
 }
 
 func TestRender(t *testing.T) {
-	g := Advantage(3, 5)
+	g := NewPegasus(DefaultRows, DefaultCols)
+	BreakRandomQubits(g, 3, 5)
 	out := g.Render()
 	if !strings.HasPrefix(out, "Pegasus 12x12") {
 		t.Fatalf("render header = %q", strings.SplitN(out, "\n", 2)[0])

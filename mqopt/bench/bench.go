@@ -31,11 +31,6 @@ type Fig6Point = harness.Fig6Point
 // Fig7Point reports annealer capacity per plans-per-query.
 type Fig7Point = harness.Fig7Point
 
-// ThroughputResult reports the service-regime throughput panel:
-// requests/second for one repeated problem shape with the compilation
-// cache cold (compile per request) versus warm (compile once).
-type ThroughputResult = harness.ThroughputResult
-
 // TopologyRow is one row of the hardware-topology panel: one workload
 // class solved on one topology kind with its native complete-graph
 // pattern.
@@ -111,16 +106,6 @@ func RunFig7(plansRange []int) []Fig7Point { return harness.RunFig7(plansRange) 
 
 // DefaultFig7Plans is the plans-per-query range of Figure 7.
 func DefaultFig7Plans() []int { return harness.DefaultFig7Plans() }
-
-// RunThroughput measures cold- versus warm-cache solve throughput for
-// one repeated problem shape (requests ≤ 0 selects 50). With
-// cfg.DisableCache both passes run uncached and the speedup reads ≈ 1.
-func RunThroughput(ctx context.Context, cfg Config, class mqopt.Class, requests int) (*ThroughputResult, error) {
-	return cfg.RunThroughput(ctx, class, requests)
-}
-
-// RenderThroughput writes the throughput panel as text.
-func RenderThroughput(w io.Writer, r *ThroughputResult) { harness.RenderThroughput(w, r) }
 
 // RunTopology executes the hardware-topology comparison: instances of
 // class generated once, QA-solved on Chimera, Pegasus, and Zephyr at
