@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+
+	"repro/internal/adjacency"
 )
 
 // Kind is the topology registry name of the Chimera graph.
@@ -31,8 +33,14 @@ const MaxDegree = 6
 // Graph is a Chimera topology of Rows×Cols unit cells with an optional
 // fault map. Qubit i lives in cell (i/8) with in-cell index i%8; in-cell
 // indices 0-3 form the left colon, 4-7 the right colon.
+//
+// The fault-free adjacency is shared by every graph of the same
+// dimensions (see repro/internal/adjacency); the fault map is the
+// graph's own and stays nil until its first fault.
 type Graph struct {
 	Rows, Cols int
+
+	adj [][]int // shared fault-free adjacency, read-only
 
 	brokenQubit   []bool
 	brokenCoupler map[[2]int]bool
@@ -43,12 +51,45 @@ func NewGraph(rows, cols int) *Graph {
 	if rows <= 0 || cols <= 0 {
 		panic("chimera: non-positive dimensions")
 	}
-	return &Graph{
-		Rows:          rows,
-		Cols:          cols,
-		brokenQubit:   make([]bool, rows*cols*CellSize),
-		brokenCoupler: make(map[[2]int]bool),
+	g := &Graph{Rows: rows, Cols: cols}
+	g.adj = adjacency.Of(Kind, rows, cols, g.idealAdjacency)
+	return g
+}
+
+// idealAdjacency lists each qubit's fault-free neighbours in Chimera's
+// historical order: the four qubits of the other colon in the same
+// cell, then the same-index qubit one cell up and one cell down (left
+// colon) or one cell left and one cell right (right colon).
+func (g *Graph) idealAdjacency() [][]int {
+	adj := make([][]int, g.NumQubits())
+	for q := range adj {
+		row, col := g.Cell(q)
+		k := q % CellSize
+		out := make([]int, 0, MaxDegree)
+		if k < Half {
+			for kk := Half; kk < CellSize; kk++ {
+				out = append(out, g.QubitAt(row, col, kk))
+			}
+			if row > 0 {
+				out = append(out, g.QubitAt(row-1, col, k))
+			}
+			if row < g.Rows-1 {
+				out = append(out, g.QubitAt(row+1, col, k))
+			}
+		} else {
+			for kk := 0; kk < Half; kk++ {
+				out = append(out, g.QubitAt(row, col, kk))
+			}
+			if col > 0 {
+				out = append(out, g.QubitAt(row, col-1, k))
+			}
+			if col < g.Cols-1 {
+				out = append(out, g.QubitAt(row, col+1, k))
+			}
+		}
+		adj[q] = out
 	}
+	return adj
 }
 
 // Kind identifies the topology family in registries and fingerprints.
@@ -65,10 +106,10 @@ func (g *Graph) NumQubits() int { return g.Rows * g.Cols * CellSize }
 
 // NumWorkingQubits returns the count of functional qubits.
 func (g *Graph) NumWorkingQubits() int {
-	n := 0
+	n := g.NumQubits()
 	for _, b := range g.brokenQubit {
-		if !b {
-			n++
+		if b {
+			n--
 		}
 	}
 	return n
@@ -96,13 +137,16 @@ func (g *Graph) IsLeftColon(q int) bool { return q%CellSize < Half }
 
 // Working reports whether qubit q is functional.
 func (g *Graph) Working(q int) bool {
-	return q >= 0 && q < len(g.brokenQubit) && !g.brokenQubit[q]
+	return q >= 0 && q < g.NumQubits() && (g.brokenQubit == nil || !g.brokenQubit[q])
 }
 
 // BreakQubit marks qubit q as broken.
 func (g *Graph) BreakQubit(q int) {
-	if q < 0 || q >= len(g.brokenQubit) {
+	if q < 0 || q >= g.NumQubits() {
 		panic(fmt.Sprintf("chimera: qubit %d out of range", q))
+	}
+	if g.brokenQubit == nil {
+		g.brokenQubit = make([]bool, g.NumQubits())
 	}
 	g.brokenQubit[q] = true
 }
@@ -115,6 +159,9 @@ func (g *Graph) BreakCoupler(a, b int) {
 	}
 	if a > b {
 		a, b = b, a
+	}
+	if g.brokenCoupler == nil {
+		g.brokenCoupler = make(map[[2]int]bool)
 	}
 	g.brokenCoupler[[2]int{a, b}] = true
 }
@@ -157,38 +204,20 @@ func (g *Graph) HasCoupler(a, b int) bool {
 }
 
 // Neighbors returns the working qubits adjacent to q via working couplers.
-// It returns nil when q itself is broken.
+// It returns nil when q itself is broken. On a fault-free graph it
+// returns the shared adjacency row without allocating; the row is
+// read-only.
 func (g *Graph) Neighbors(q int) []int {
 	if !g.Working(q) {
 		return nil
 	}
-	row, col := g.Cell(q)
-	k := q % CellSize
-	var out []int
-	appendIfWorking := func(other int) {
-		if g.HasCoupler(q, other) {
-			out = append(out, other)
-		}
+	if g.brokenQubit == nil && g.brokenCoupler == nil {
+		return g.adj[q]
 	}
-	if k < Half {
-		for kk := Half; kk < CellSize; kk++ {
-			appendIfWorking(g.QubitAt(row, col, kk))
-		}
-		if row > 0 {
-			appendIfWorking(g.QubitAt(row-1, col, k))
-		}
-		if row < g.Rows-1 {
-			appendIfWorking(g.QubitAt(row+1, col, k))
-		}
-	} else {
-		for kk := 0; kk < Half; kk++ {
-			appendIfWorking(g.QubitAt(row, col, kk))
-		}
-		if col > 0 {
-			appendIfWorking(g.QubitAt(row, col-1, k))
-		}
-		if col < g.Cols-1 {
-			appendIfWorking(g.QubitAt(row, col+1, k))
+	var out []int
+	for _, o := range g.adj[q] {
+		if g.HasCoupler(q, o) {
+			out = append(out, o)
 		}
 	}
 	return out

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -18,6 +19,11 @@ import (
 // will read; anything larger is rejected with 413 before it can exhaust
 // memory.
 const DefaultMaxBody int64 = 8 << 20
+
+// MaxTopologyDim bounds each side of a request's topology_dims: a 32×32
+// cell grid is 8,192 qubits, seven times the paper's 12×12 device.
+// Larger grids are rejected with 400 before any qubit is allocated.
+const MaxTopologyDim = 32
 
 // SolveRequest is the POST /solve schema, shared by every role:
 // standalone nodes and workers decode it to solve, the router decodes
@@ -48,7 +54,8 @@ type SolveRequest struct {
 	Embedding string `json:"embedding,omitempty"`
 	// Topology selects the annealer hardware graph for qa backends:
 	// chimera (default), pegasus, or zephyr. TopologyDims optionally
-	// gives the unit-cell grid as [rows, cols] (default 12×12).
+	// gives the unit-cell grid as [rows, cols], each at most
+	// MaxTopologyDim; a non-positive side selects the default 12.
 	Topology     string `json:"topology,omitempty"`
 	TopologyDims []int  `json:"topology_dims,omitempty"`
 	// Members names portfolio members (solver "portfolio").
@@ -274,9 +281,15 @@ func BuildRequest(req *SolveRequest) (mqopt.Request, error) {
 		if len(req.TopologyDims) != 0 && len(req.TopologyDims) != 2 {
 			return bad("topology_dims must be [rows, cols], got %v", req.TopologyDims)
 		}
-		// Resolve eagerly so an unknown kind is a 400, not a failed solve.
-		if _, err := mqopt.NewTopologyOf(kind, 1, 1); err != nil {
-			return bad("%v", err)
+		for _, d := range req.TopologyDims {
+			if d > MaxTopologyDim {
+				return bad("topology_dims %v exceed %d cells per side", req.TopologyDims, MaxTopologyDim)
+			}
+		}
+		// Check the kind eagerly so an unknown one is a 400, not a
+		// failed solve.
+		if kinds := mqopt.TopologyKinds(); !slices.Contains(kinds, kind) {
+			return bad("unknown topology %q (registered: %v)", kind, kinds)
 		}
 		opts = append(opts, mqopt.WithTopology(kind, req.TopologyDims...))
 	}

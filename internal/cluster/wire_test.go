@@ -91,6 +91,8 @@ func TestBuildRequestValidation(t *testing.T) {
 		{"bad cache", `{"problem": ` + inst + `, "cache": "maybe"}`},
 		{"bad topology", `{"problem": ` + inst + `, "topology": "hypercube"}`},
 		{"bad topology dims", `{"problem": ` + inst + `, "topology_dims": [1, 2, 3]}`},
+		{"huge topology dims", `{"problem": ` + inst + `, "topology_dims": [10000, 10000]}`},
+		{"one side past the cap", `{"problem": ` + inst + `, "topology": "zephyr", "topology_dims": [4, 33]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,6 +103,22 @@ func TestBuildRequestValidation(t *testing.T) {
 			_, err = BuildRequest(req)
 			wantStatus(t, err, http.StatusBadRequest)
 		})
+	}
+}
+
+func TestBuildRequestTopologyDimsWithinCap(t *testing.T) {
+	// The cap admits MaxTopologyDim itself, and non-positive sides still
+	// select the default grid.
+	inst := string(instanceJSON(t, 1))
+	for _, dims := range []string{"[32, 32]", "[0, -1]", "[12, 12]"} {
+		body := `{"problem": ` + inst + `, "topology": "pegasus", "topology_dims": ` + dims + `}`
+		req, _, err := decode(t, body, 0)
+		if err != nil {
+			t.Fatalf("decode %s: %v", dims, err)
+		}
+		if _, err := BuildRequest(req); err != nil {
+			t.Errorf("topology_dims %s: %v", dims, err)
+		}
 	}
 }
 

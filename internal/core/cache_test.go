@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/anneal"
 	"repro/internal/chimera"
+	"repro/internal/embedding"
+	"repro/internal/ising"
 	"repro/internal/mqo"
 )
 
@@ -65,6 +68,38 @@ func TestCacheBitIdenticalResults(t *testing.T) {
 	if cold.PreprocessTime != warm.PreprocessTime {
 		t.Errorf("PreprocessTime differs between cold (%v) and warm (%v) hits of one artifact",
 			cold.PreprocessTime, warm.PreprocessTime)
+	}
+}
+
+// TestCompiledKeepsNoPhysicalQUBO: a cached artifact holds only what a
+// solve reads. Program carries the physical formula, so the artifact
+// drops the physical QUBO it was built from, while PhysicalMap itself
+// still returns it to its other callers. Both mappings agree on the
+// formula: the program equals one compiled from PhysicalMap's QUBO.
+func TestCompiledKeepsNoPhysicalQUBO(t *testing.T) {
+	p := cacheTestProblem(t)
+	for _, uniform := range []float64{0, 40} {
+		opt := (Options{UniformChainStrength: uniform}).withDefaults()
+		comp, err := compile(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if comp.Phys.QUBO != nil {
+			t.Errorf("uniform %v: the compiled artifact keeps the physical QUBO", uniform)
+		}
+		phys, err := embedding.PhysicalMap(comp.Emb, comp.Mapping.QUBO, opt.Epsilon)
+		if uniform > 0 {
+			phys, err = embedding.PhysicalMapUniform(comp.Emb, comp.Mapping.QUBO, opt.Epsilon, uniform)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if phys.QUBO == nil {
+			t.Fatal("PhysicalMap returned no physical QUBO")
+		}
+		if want := anneal.Compile(ising.FromQUBO(phys.QUBO)); !reflect.DeepEqual(comp.Program, want) {
+			t.Errorf("uniform %v: the artifact's program differs from one compiled from PhysicalMap's QUBO", uniform)
+		}
 	}
 }
 

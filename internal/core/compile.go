@@ -26,21 +26,23 @@ import (
 // Zephyr — and the cache key includes the topology's kind tag, so
 // artifacts never leak across graphs.
 //
-// A Compiled is IMMUTABLE once built: both QUBO formulas are frozen
-// (mutation panics), and the sampling path only ever reads it — gauge
-// transformations copy the CSR program, and read-out decoding writes
-// into per-run buffers. One instance is therefore safe to share between
-// any number of concurrent solves. The Ising form of the physical
-// formula is an intermediate of Program's build and is not kept: a
-// cached artifact would otherwise pin a second copy of the formula that
-// nothing reads.
+// A Compiled is IMMUTABLE once built: the logical QUBO formula is
+// frozen (mutation panics), and the sampling path only ever reads it —
+// gauge transformations copy the CSR program, and read-out decoding
+// writes into per-run buffers. One instance is therefore safe to share
+// between any number of concurrent solves. An artifact keeps only what
+// a solve reads. The physical QUBO formula and its Ising form are
+// intermediates of Program's build and are dropped: a cached artifact
+// would otherwise pin two more copies of the formula that nothing
+// reads.
 type Compiled struct {
 	// Mapping is the logical MQO→QUBO transformation (frozen).
 	Mapping *logical.Mapping
 	// Emb assigns each logical variable a qubit chain.
 	Emb *embedding.Embedding
-	// Phys is the physical energy formula over the consumed qubits
-	// (frozen QUBO).
+	// Phys is the physical mapping over the consumed qubits: chains,
+	// chain strengths, and the read-out. Its QUBO is nil; Program holds
+	// the physical formula.
 	Phys *embedding.Physical
 	// Program is the identity-gauge CSR sampling program of the
 	// physical formula in Ising form; gauge batches derive their own
@@ -86,8 +88,8 @@ func compile(p *mqo.Problem, opt Options) (*Compiled, error) {
 		return nil, err
 	}
 	program := anneal.Compile(ising.FromQUBO(phys.QUBO))
+	phys.QUBO = nil
 	mapping.QUBO.Freeze()
-	phys.QUBO.Freeze()
 	return &Compiled{
 		Mapping:           mapping,
 		Emb:               emb,

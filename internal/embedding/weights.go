@@ -28,8 +28,7 @@ type Physical struct {
 	// Epsilon is the slack above the chain-strength bound.
 	Epsilon float64
 
-	chainIdx  [][]int     // logical var -> compact indices of its chain
-	qubitPhys map[int]int // hardware qubit id -> compact index
+	chainIdx [][]int // logical var -> compact indices of its chain
 }
 
 // PhysicalMap expands a logical QUBO over an embedding:
@@ -71,14 +70,16 @@ func physicalMap(e *Embedding, logical *qubo.Problem, epsilon, uniform float64) 
 		Logical:       logical,
 		Epsilon:       epsilon,
 		ChainStrength: make([]float64, logical.N()),
-		qubitPhys:     make(map[int]int),
 		chainIdx:      make([][]int, logical.N()),
 	}
+	// qubitPhys maps a hardware qubit id to its compact index. Only the
+	// coupling placement below reads it, so the artifact does not keep it.
+	qubitPhys := make([]int, e.Graph.NumQubits())
 	for v, ch := range e.Chains {
 		idx := make([]int, len(ch))
 		for i, q := range ch {
 			idx[i] = len(p.PhysQubits)
-			p.qubitPhys[q] = idx[i]
+			qubitPhys[q] = idx[i]
 			p.PhysQubits = append(p.PhysQubits, q)
 		}
 		p.chainIdx[v] = idx
@@ -106,7 +107,7 @@ func physicalMap(e *Embedding, logical *qubo.Problem, epsilon, uniform float64) 
 		if !ok {
 			return nil, fmt.Errorf("embedding: no coupler for logical coupling (%d,%d)", c.I, c.J)
 		}
-		p.QUBO.AddQuadratic(p.qubitPhys[qa], p.qubitPhys[qb], c.W)
+		p.QUBO.AddQuadratic(qubitPhys[qa], qubitPhys[qb], c.W)
 	}
 	// Step 3: chain ferromagnetic terms. The strengths are computed from
 	// the weights assigned in steps 1-2, before any chain terms exist, so

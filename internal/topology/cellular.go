@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/adjacency"
 	"repro/internal/hashutil"
 )
 
@@ -24,16 +25,18 @@ func sortPairs(pairs [][2]int) {
 // topologies that are not Chimera (Pegasus, Zephyr): a Rows×Cols grid of
 // 8-qubit K4,4 unit cells whose ideal coupler set is precomputed from a
 // per-kind adjacency rule, plus the same mutable fault map semantics as
-// chimera.Graph. Adjacency lists are built once at construction and kept
-// in ascending qubit order, so every iteration over the graph is
-// deterministic.
+// chimera.Graph. Adjacency lists are kept in ascending qubit order, so
+// every iteration over the graph is deterministic. They are built once
+// per (kind, rows, cols) and shared read-only by every graph of that
+// shape (see repro/internal/adjacency); the fault map is the graph's
+// own and stays nil until its first fault.
 type Cellular struct {
 	kind       string
 	display    string
 	rows, cols int
 	maxDegree  int
 
-	adj [][]int // ideal-topology adjacency, ascending
+	adj [][]int // shared ideal-topology adjacency, ascending, read-only
 
 	brokenQubit   []bool
 	brokenCoupler map[[2]int]bool
@@ -44,45 +47,51 @@ type Cellular struct {
 // over ordered pairs only and mirrors the result.
 type coupleRule func(g *Cellular, a, b int) bool
 
-// newCellular builds a fault-free cellular topology from a coupler rule.
-// The rule is evaluated per qubit over a candidate window of nearby
-// cells (all rules are local: couplers never span more than two cell
-// rows or columns), keeping construction linear in the qubit count.
+// newCellular returns a fault-free cellular topology whose adjacency
+// comes from the shared table, built from the coupler rule on the
+// shape's first request.
 func newCellular(kind, display string, rows, cols, maxDegree int, rule coupleRule) *Cellular {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("%s: non-positive dimensions", kind))
 	}
 	g := &Cellular{
-		kind:          kind,
-		display:       display,
-		rows:          rows,
-		cols:          cols,
-		maxDegree:     maxDegree,
-		brokenQubit:   make([]bool, rows*cols*CellSize),
-		brokenCoupler: map[[2]int]bool{},
+		kind:      kind,
+		display:   display,
+		rows:      rows,
+		cols:      cols,
+		maxDegree: maxDegree,
 	}
-	g.adj = make([][]int, g.NumQubits())
-	for q := 0; q < g.NumQubits(); q++ {
+	g.adj = adjacency.Of(kind, rows, cols, func() [][]int { return g.idealAdjacency(rule) })
+	return g
+}
+
+// idealAdjacency evaluates rule per qubit over a candidate window of
+// nearby cells (all rules are local: couplers never span more than two
+// cell rows or columns), keeping construction linear in the qubit
+// count.
+func (g *Cellular) idealAdjacency(rule coupleRule) [][]int {
+	adj := make([][]int, g.NumQubits())
+	for q := range adj {
 		r, c := g.Cell(q)
 		for rr := r - 2; rr <= r+2; rr++ {
 			for cc := c - 2; cc <= c+2; cc++ {
-				if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
+				if rr < 0 || rr >= g.rows || cc < 0 || cc >= g.cols {
 					continue
 				}
 				for k := 0; k < CellSize; k++ {
 					o := g.QubitAt(rr, cc, k)
 					if o != q && rule(g, q, o) {
-						g.adj[q] = append(g.adj[q], o)
+						adj[q] = append(adj[q], o)
 					}
 				}
 			}
 		}
-		if len(g.adj[q]) > maxDegree {
+		if len(adj[q]) > g.maxDegree {
 			panic(fmt.Sprintf("%s: qubit %d has degree %d beyond the bound %d",
-				kind, q, len(g.adj[q]), maxDegree))
+				g.kind, q, len(adj[q]), g.maxDegree))
 		}
 	}
-	return g
+	return adj
 }
 
 // Kind identifies the topology family.
@@ -99,10 +108,10 @@ func (g *Cellular) NumQubits() int { return g.rows * g.cols * CellSize }
 
 // NumWorkingQubits counts functional qubits.
 func (g *Cellular) NumWorkingQubits() int {
-	n := 0
+	n := g.NumQubits()
 	for _, b := range g.brokenQubit {
-		if !b {
-			n++
+		if b {
+			n--
 		}
 	}
 	return n
@@ -124,13 +133,16 @@ func (g *Cellular) QubitAt(row, col, k int) int {
 
 // Working reports whether qubit q is functional.
 func (g *Cellular) Working(q int) bool {
-	return q >= 0 && q < len(g.brokenQubit) && !g.brokenQubit[q]
+	return q >= 0 && q < g.NumQubits() && (g.brokenQubit == nil || !g.brokenQubit[q])
 }
 
 // BreakQubit marks qubit q as broken.
 func (g *Cellular) BreakQubit(q int) {
-	if q < 0 || q >= len(g.brokenQubit) {
+	if q < 0 || q >= g.NumQubits() {
 		panic(fmt.Sprintf("%s: qubit %d out of range", g.kind, q))
+	}
+	if g.brokenQubit == nil {
+		g.brokenQubit = make([]bool, g.NumQubits())
 	}
 	g.brokenQubit[q] = true
 }
@@ -158,6 +170,9 @@ func (g *Cellular) BreakCoupler(a, b int) {
 	if a > b {
 		a, b = b, a
 	}
+	if g.brokenCoupler == nil {
+		g.brokenCoupler = make(map[[2]int]bool)
+	}
 	g.brokenCoupler[[2]int{a, b}] = true
 }
 
@@ -174,9 +189,14 @@ func (g *Cellular) HasCoupler(a, b int) bool {
 
 // Neighbors returns the working qubits adjacent to q via working
 // couplers, in ascending qubit order. It returns nil when q is broken.
+// On a fault-free graph it returns the shared adjacency row without
+// allocating; the row is read-only.
 func (g *Cellular) Neighbors(q int) []int {
 	if !g.Working(q) {
 		return nil
+	}
+	if g.brokenQubit == nil && g.brokenCoupler == nil {
+		return g.adj[q]
 	}
 	var out []int
 	for _, o := range g.adj[q] {

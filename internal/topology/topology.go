@@ -43,7 +43,10 @@ const Half = 4
 // qubit id is dense in [0, NumQubits()); couplers are unordered qubit
 // pairs. Implementations must be deterministic: two graphs of the same
 // kind, dimensions, and fault history expose identical adjacency and
-// identical HashInto streams.
+// identical HashInto streams. The built-in kinds share one fault-free
+// adjacency per (kind, rows, cols) across the process, and each graph
+// value owns its fault map: a fault on one graph never shows on
+// another.
 //
 // Fault semantics: BreakQubit/BreakCoupler mark hardware as inoperable.
 // Working(q) is false for broken qubits; HasCoupler(a, b) is false when
@@ -70,6 +73,10 @@ type Graph interface {
 	// Neighbors returns the working qubits adjacent to q via working
 	// couplers, in ascending qubit order for the cellular topologies
 	// (Chimera's historical order is preserved for byte-compatibility).
+	// The returned slice is shared and read-only: on a fault-free graph
+	// it is the adjacency row every graph of the same shape reads.
+	// Appending to it is safe (the row's len equals its cap, so append
+	// copies); writing into it is not.
 	Neighbors(q int) []int
 	// BreakQubit marks qubit q as broken.
 	BreakQubit(q int)
