@@ -8,7 +8,6 @@
 package anneal
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/ising"
@@ -19,8 +18,15 @@ import (
 type Sampler interface {
 	// SampleInto runs one anneal writing the read-out into the
 	// caller-owned scratch arena (retrieve it with sc.Words or
-	// sc.Spins); steady-state calls allocate nothing.
-	SampleInto(p *Compiled, rng *rand.Rand, sc *Scratch)
+	// sc.Spins); steady-state calls allocate nothing. gauge is a packed
+	// spin-reversal mask of WordsFor(p.N) words (nil: identity), XORed
+	// into the uniform start state. A gauge flips h_i and every J_ij
+	// with one flipped endpoint; the gauged program's flip delta at s
+	// equals p's at s⊕g term by term, and float sums are
+	// sign-symmetric, so a run on p from start⊕g takes every decision
+	// of a run on the gauged program from start, and its read-out is
+	// that run's read-out XOR g — already in p's frame.
+	SampleInto(p *Compiled, rng *Rand, sc *Scratch, gauge []uint64)
 	// Name identifies the sampler in reports.
 	Name() string
 }
@@ -36,14 +42,14 @@ type WarmSampler interface {
 	// SampleWarmInto is SampleInto starting from init, a packed spin
 	// state of WordsFor(p.N) words (bit set ⇔ spin −1, trailing bits
 	// clear). init is read-only; the read-out lands in sc as usual.
-	SampleWarmInto(p *Compiled, rng *rand.Rand, sc *Scratch, init []uint64)
+	SampleWarmInto(p *Compiled, rng *Rand, sc *Scratch, init []uint64)
 }
 
 // Compiled is a frozen Ising sampling program: the CSR form consumed by
 // the naive reference loops (LocalField/FlipDelta/Energy) plus the
 // fixed-stride padded kernel layout the streaming sweep runs on (see
-// kernel.go). Compile once per problem, sample many times; a Compiled
-// is never mutated after Compile/ApplyGauge returns.
+// kernel.go). Compile once per problem, sample many times, under every
+// gauge; a Compiled is never mutated after Compile returns.
 type Compiled struct {
 	N   int
 	H   []float64
@@ -54,9 +60,8 @@ type Compiled struct {
 	Offset float64
 
 	// Kernel layout: padded rows of Stride entries per spin holding the
-	// CSR row in the same order. Deg/PNbr describe topology and are
-	// SHARED between a program and its gauge transforms; PW holds the
-	// raw IEEE-754 weight bits (per-gauge copies).
+	// CSR row in the same order. Deg/PNbr describe topology; PW holds
+	// the raw IEEE-754 weight bits.
 	Stride int
 	Deg    []int32
 	PNbr   []int32
@@ -85,65 +90,6 @@ func Compile(p *ising.Problem) *Compiled {
 	c.Off[n] = int32(len(c.Nbr))
 	c.buildKernel()
 	return c
-}
-
-// ApplyGauge returns the gauge-transformed copy of the program:
-// h'_i = −h_i where flip[i] is set, and J'_ij = −J_ij where exactly one
-// endpoint flips. The topology (Off/Nbr) is unchanged and SHARED with
-// the receiver — only the weight arrays are copied — so transforming a
-// compiled program is two array passes instead of rebuilding the
-// map-backed Ising problem and recompiling it. Because the CSR layout
-// is inherited, neighbor summation order (and therefore floating-point
-// rounding) is identical to the original program's, keeping gauge
-// batches bit-deterministic. The receiver is not modified; the result
-// must be treated as immutable wherever the receiver is shared.
-func (c *Compiled) ApplyGauge(flip []bool) *Compiled {
-	if len(flip) != c.N {
-		panic("anneal: gauge size mismatch")
-	}
-	out := &Compiled{
-		N:      c.N,
-		H:      make([]float64, c.N),
-		Off:    c.Off,
-		Nbr:    c.Nbr,
-		W:      make([]float64, len(c.W)),
-		Offset: c.Offset,
-		Stride: c.Stride,
-		Deg:    c.Deg,
-		PNbr:   c.PNbr,
-		PW:     make([]uint64, len(c.PW)),
-	}
-	for i, h := range c.H {
-		if flip[i] {
-			h = -h
-		}
-		out.H[i] = h
-	}
-	// Sign flips are applied as IEEE-754 sign-bit XORs, which is exactly
-	// the conditional negation (including −0.0 from 0.0 weights).
-	for i := 0; i < c.N; i++ {
-		var fi uint64
-		if flip[i] {
-			fi = 1
-		}
-		for k := c.Off[i]; k < c.Off[i+1]; k++ {
-			var fj uint64
-			if flip[c.Nbr[k]] {
-				fj = 1
-			}
-			sign := (fi ^ fj) << 63
-			out.W[k] = math.Float64frombits(math.Float64bits(c.W[k]) ^ sign)
-		}
-		base := i * c.Stride
-		for k := 0; k < int(c.Deg[i]); k++ {
-			var fj uint64
-			if flip[c.PNbr[base+k]] {
-				fj = 1
-			}
-			out.PW[base+k] = c.PW[base+k] ^ ((fi ^ fj) << 63)
-		}
-	}
-	return out
 }
 
 // LocalField returns h_i + Σ_j J_ij·s_j, the effective field on spin i.

@@ -54,9 +54,9 @@ func TestCompiledFlipDelta(t *testing.T) {
 
 // sample runs one anneal on a private scratch and returns a copy of
 // the read-out.
-func sample(s Sampler, c *Compiled, rng *rand.Rand) []int8 {
+func sample(s Sampler, c *Compiled, rng *Rand) []int8 {
 	var sc Scratch
-	s.SampleInto(c, rng, &sc)
+	s.SampleInto(c, rng, &sc, nil)
 	return append([]int8(nil), sc.Spins()...)
 }
 
@@ -72,6 +72,7 @@ func exhaustiveGround(p *ising.Problem) float64 {
 
 func TestSAFindsGroundStateSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	draws := NewRand(3)
 	sa := DefaultSA()
 	for trial := 0; trial < 10; trial++ {
 		p := randomIsing(rng, 10, 0.5)
@@ -79,7 +80,7 @@ func TestSAFindsGroundStateSmall(t *testing.T) {
 		want := exhaustiveGround(p)
 		best := math.Inf(1)
 		for run := 0; run < 30; run++ {
-			s := sample(sa, c, rng)
+			s := sample(sa, c, draws)
 			if e := c.Energy(s); e < best {
 				best = e
 			}
@@ -92,6 +93,7 @@ func TestSAFindsGroundStateSmall(t *testing.T) {
 
 func TestSQAFindsGroundStateSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	draws := NewRand(4)
 	sq := DefaultSQA()
 	for trial := 0; trial < 5; trial++ {
 		p := randomIsing(rng, 10, 0.5)
@@ -99,7 +101,7 @@ func TestSQAFindsGroundStateSmall(t *testing.T) {
 		want := exhaustiveGround(p)
 		best := math.Inf(1)
 		for run := 0; run < 20; run++ {
-			s := sample(sq, c, rng)
+			s := sample(sq, c, draws)
 			if e := c.Energy(s); e < best {
 				best = e
 			}
@@ -114,8 +116,8 @@ func TestSamplersDeterministicGivenSeed(t *testing.T) {
 	p := randomIsing(rand.New(rand.NewSource(5)), 20, 0.3)
 	c := Compile(p)
 	for _, s := range []Sampler{DefaultSA(), DefaultSQA()} {
-		a := sample(s, c, rand.New(rand.NewSource(9)))
-		b := sample(s, c, rand.New(rand.NewSource(9)))
+		a := sample(s, c, NewRand(9))
+		b := sample(s, c, NewRand(9))
 		for i := range a {
 			if a[i] != b[i] {
 				t.Errorf("%s: same seed produced different spins", s.Name())
@@ -126,10 +128,9 @@ func TestSamplersDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestSampleReturnsValidSpins(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	c := Compile(randomIsing(rng, 15, 0.4))
+	c := Compile(randomIsing(rand.New(rand.NewSource(6)), 15, 0.4))
 	for _, s := range []Sampler{DefaultSA(), DefaultSQA()} {
-		out := sample(s, c, rng)
+		out := sample(s, c, NewRand(6))
 		if len(out) != 15 {
 			t.Fatalf("%s returned %d spins, want 15", s.Name(), len(out))
 		}
@@ -142,10 +143,9 @@ func TestSampleReturnsValidSpins(t *testing.T) {
 }
 
 func TestSAZeroSweepsIsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := Compile(randomIsing(rng, 8, 0.5))
+	c := Compile(randomIsing(rand.New(rand.NewSource(7)), 8, 0.5))
 	sa := &SimulatedAnnealer{Sweeps: 0}
-	out := sample(sa, c, rng)
+	out := sample(sa, c, NewRand(7))
 	if len(out) != 8 {
 		t.Fatalf("got %d spins", len(out))
 	}
@@ -167,7 +167,7 @@ func TestSAOnFrustratedChain(t *testing.T) {
 		p.AddCoupling(i, (i+1)%n, 1) // antiferromagnetic
 	}
 	c := Compile(p)
-	rng := rand.New(rand.NewSource(8))
+	rng := NewRand(8)
 	sa := DefaultSA()
 	best := math.Inf(1)
 	for run := 0; run < 50; run++ {
@@ -183,7 +183,7 @@ func TestSAOnFrustratedChain(t *testing.T) {
 // quboToIsingGround sanity check used by the SQA replica selection:
 // returned energy must match the energy of the returned spins.
 func TestSQAReturnsBestReplica(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	rng := NewRand(9)
 	q := qubo.New(6)
 	for i := 0; i < 6; i++ {
 		q.AddLinear(i, -1)

@@ -56,13 +56,13 @@ func BenchmarkSASweep(b *testing.B) {
 		b.Run(fmt.Sprintf("%s-%dx%d", g.kind, g.rows, g.cols), func(b *testing.B) {
 			c := topoProgram(b, g.kind, g.rows, g.cols)
 			sa := anneal.DefaultSA()
-			rng := rand.New(rand.NewSource(1))
+			rng := anneal.NewRand(1)
 			sc := anneal.NewScratch()
-			sa.SampleInto(c, rng, sc) // warm the arena
+			sa.SampleInto(c, rng, sc, nil) // warm the arena
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sa.SampleInto(c, rng, sc)
+				sa.SampleInto(c, rng, sc, nil)
 			}
 		})
 	}
@@ -75,13 +75,13 @@ func BenchmarkSQASweep(b *testing.B) {
 		b.Run(fmt.Sprintf("%s-%dx%d", g.kind, g.rows, g.cols), func(b *testing.B) {
 			c := topoProgram(b, g.kind, g.rows, g.cols)
 			sqa := anneal.DefaultSQA()
-			rng := rand.New(rand.NewSource(1))
+			rng := anneal.NewRand(1)
 			sc := anneal.NewScratch()
-			sqa.SampleInto(c, rng, sc)
+			sqa.SampleInto(c, rng, sc, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sqa.SampleInto(c, rng, sc)
+				sqa.SampleInto(c, rng, sc, nil)
 			}
 		})
 	}
@@ -89,23 +89,25 @@ func BenchmarkSQASweep(b *testing.B) {
 
 // TestSampleIntoAllocFree pins the arena contract: after the first call
 // has grown the scratch, SampleInto performs zero heap allocations per
-// run, for both samplers, on every topology kind.
+// run, for both samplers, on every topology kind, under a gauge.
 func TestSampleIntoAllocFree(t *testing.T) {
 	for _, kind := range []string{topology.ChimeraKind, topology.PegasusKind, topology.ZephyrKind} {
 		c := topoProgram(t, kind, 4, 4)
-		rng := rand.New(rand.NewSource(2))
+		rng := anneal.NewRand(2)
+		gauge := make([]uint64, anneal.WordsFor(c.N))
+		anneal.RandomSpinsInto(rng, c.N, gauge)
 
 		sa := anneal.DefaultSA()
 		sc := anneal.NewScratch()
-		sa.SampleInto(c, rng, sc)
-		if a := testing.AllocsPerRun(10, func() { sa.SampleInto(c, rng, sc) }); a != 0 {
+		sa.SampleInto(c, rng, sc, gauge)
+		if a := testing.AllocsPerRun(10, func() { sa.SampleInto(c, rng, sc, gauge) }); a != 0 {
 			t.Errorf("%s: SA SampleInto allocates %v allocs/run on a warm scratch, want 0", kind, a)
 		}
 
 		sqa := anneal.DefaultSQA()
 		scq := anneal.NewScratch()
-		sqa.SampleInto(c, rng, scq)
-		if a := testing.AllocsPerRun(10, func() { sqa.SampleInto(c, rng, scq) }); a != 0 {
+		sqa.SampleInto(c, rng, scq, gauge)
+		if a := testing.AllocsPerRun(10, func() { sqa.SampleInto(c, rng, scq, gauge) }); a != 0 {
 			t.Errorf("%s: SQA SampleInto allocates %v allocs/run on a warm scratch, want 0", kind, a)
 		}
 	}

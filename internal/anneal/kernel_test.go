@@ -26,64 +26,19 @@ func TestPackRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: UnpackBits[%d] = %v for spin %d", n, i, bits[i], s[i])
 			}
 		}
-		f := make([]bool, n)
-		for i := range f {
-			f[i] = rng.Intn(2) == 0
-		}
-		PackBools(f, words)
-		for i := range f {
-			if got := words[i>>6]&(1<<(uint(i)&63)) != 0; got != f[i] {
-				t.Fatalf("n=%d: PackBools bit %d = %v, want %v", n, i, got, f[i])
-			}
-		}
 		// Trailing bits beyond n must be cleared so whole-word XOR
-		// operations (gauge undo) cannot leak garbage.
+		// operations (a gauge mask on the start state) cannot leak
+		// garbage.
+		for w := range words {
+			words[w] = ^uint64(0)
+		}
+		PackSpins(s, words)
 		if rem := uint(n) & 63; rem != 0 {
 			if tail := words[len(words)-1] &^ (1<<rem - 1); tail != 0 {
 				t.Fatalf("n=%d: trailing bits not cleared: %#x", n, tail)
 			}
 		}
 	}
-}
-
-// TestApplyGaugeIdentity checks the defining property of a gauge
-// transform: E_gauged(s) = E_original(s ⊙ flip), on the compiled
-// program's own energy as well as the packed read-out form.
-func TestApplyGaugeIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(40)
-		p := randomIsing(rng, n, 0.3)
-		p.Offset = rng.NormFloat64()
-		c := Compile(p)
-		flip := make([]bool, n)
-		for i := range flip {
-			flip[i] = rng.Intn(2) == 0
-		}
-		g := c.ApplyGauge(flip)
-		s := RandomSpins(rng, n)
-		flipped := make([]int8, n)
-		for i, si := range s {
-			if flip[i] {
-				si = -si
-			}
-			flipped[i] = si
-		}
-		if got, want := g.Energy(s), c.Energy(flipped); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: gauged energy %v != original energy of flipped state %v", trial, got, want)
-		}
-		words := make([]uint64, WordsFor(n))
-		PackSpins(s, words)
-		if got, want := g.PackedEnergy(words), g.Energy(s); got != want {
-			t.Fatalf("trial %d: PackedEnergy %v != Energy %v on gauged program", trial, got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("size-mismatched gauge did not panic")
-		}
-	}()
-	Compile(randomIsing(rng, 4, 0.5)).ApplyGauge(make([]bool, 5))
 }
 
 func TestPackedFlipDeltaMatchesNaive(t *testing.T) {
@@ -106,7 +61,7 @@ func TestScratchViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	c := Compile(randomIsing(rng, 70, 0.2))
 	sc := NewScratch()
-	DefaultSA().SampleInto(c, rng, sc)
+	DefaultSA().SampleInto(c, NewRand(14), sc, nil)
 	words := sc.Words()
 	if len(words) != WordsFor(70) {
 		t.Fatalf("Words() has %d words, want %d", len(words), WordsFor(70))
@@ -122,41 +77,94 @@ func TestScratchViews(t *testing.T) {
 	}
 }
 
-// TestAcceptPositiveMatchesExp pins the three-tier Metropolis test to
-// its specification: acceptPositive(u, x) must equal the historical
-// u < math.Exp(-x) for every draw, including the band where the fast
-// path defers to the math.Exp arbiter.
+// TestAcceptPositiveMatchesExp pins the Metropolis test of a
+// positive-delta move to its specification, u < math.Exp(-x) with u
+// the rand.Float64 value of the draw, both in accept (SQA) and in the
+// SA sweep's inlined copy. Random draws cover the bulk; crafted draws
+// sit on every bracket edge (r = 2^k − 1 and 2^k), at r == 0, and on
+// the Float64 redraw boundary, each against every table threshold ±1
+// ulp, a log grid of x, and x = −ln(u) itself.
 func TestAcceptPositiveMatchesExp(t *testing.T) {
+	want := func(r uint64, x float64) bool { return float64(r)/(1<<63) < math.Exp(-x) }
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 2_000_000; trial++ {
-		u := rng.Float64()
+		r := uint64(rng.Int63()) >> rng.Intn(64)
+		if r >= redrawAt {
+			continue
+		}
 		x := rng.Float64() * 50
-		if got, want := acceptPositive(u, x), u < math.Exp(-x); got != want {
-			t.Fatalf("acceptPositive(%v, %v) = %v, want %v", u, x, got, want)
+		if got := accept(r, x); got != want(r, x) {
+			t.Fatalf("accept(%d, %v) = %v, want %v", r, x, got, !got)
 		}
 	}
-	// Adversarial draws: u exactly on exp(-x) lattice points, extreme
-	// exponents, and the u == 0 fall-through.
-	for trial := 0; trial < 200_000; trial++ {
-		x := rng.Float64() * 45
-		u := math.Exp(-x)
-		for _, uu := range []float64{u, math.Nextafter(u, 0), math.Nextafter(u, 1)} {
-			if uu <= 0 || uu >= 1 {
+
+	draws := []uint64{0, 1, redrawAt - 1, redrawAt, 1<<63 - 1}
+	for k := 1; k <= 62; k++ {
+		draws = append(draws, 1<<k-1, 1<<k)
+	}
+	var xs []float64
+	for m := 1; m < 64; m++ {
+		for _, edge := range []float64{rejectAbove[m], acceptBelow[m]} {
+			xs = append(xs, math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1)))
+		}
+	}
+	for e := -40.0; e <= 10; e += 0.125 {
+		xs = append(xs, math.Exp2(e))
+	}
+	for _, r := range draws {
+		// A draw at or above redrawAt is redrawn; the decision falls to
+		// the next one, planted far from the first.
+		next, decided, consumed := uint64(12345), r, uint(1)
+		if r >= redrawAt {
+			decided, consumed = next, 2
+		}
+		cases := xs
+		if u := float64(decided) / (1 << 63); u > 0 {
+			x := -math.Log(u)
+			cases = append(cases[:len(cases):len(cases)], math.Nextafter(x, 0), x, math.Nextafter(x, 1))
+		}
+		for _, x := range cases {
+			if !(x > 0) {
 				continue
 			}
-			if got, want := acceptPositive(uu, x), uu < math.Exp(-x); got != want {
-				t.Fatalf("boundary: acceptPositive(%v, %v) = %v, want %v", uu, x, got, want)
+			if r < redrawAt {
+				if got := accept(r, x); got != want(r, x) {
+					t.Fatalf("accept(%d, %v) = %v, want %v", r, x, got, !got)
+				}
+			}
+			flipped, used := sweepOneSpin(x, r, next)
+			if flipped != want(decided, x) {
+				t.Fatalf("sweep draw %d then %d at x = %v: flipped = %v, want %v", r, next, x, flipped, !flipped)
+			}
+			if used != consumed {
+				t.Fatalf("sweep draw %d at x = %v consumed %d draws, want %d", r, x, used, consumed)
 			}
 		}
-	}
-	for _, x := range []float64{0, 1e-300, 1e-17, 0.5, 43.7, 700, 1e300} {
-		if got, want := acceptBand(0, x), 0 < math.Exp(-x); got != want {
-			t.Fatalf("acceptBand(0, %v) = %v, want %v", x, got, want)
-		}
-		if got, want := acceptPositive(5e-324, x), 5e-324 < math.Exp(-x); got != want {
-			t.Fatalf("acceptPositive(denormal, %v) = %v, want %v", x, got, want)
+		// SQA draws through uniform63, which must redraw the same way.
+		g := plantedRand(r, next)
+		if got := g.uniform63(); got != decided || g.pos != consumed {
+			t.Fatalf("uniform63 over draws %d, %d = %d after %d draws, want %d", r, next, got, g.pos, decided)
 		}
 	}
+}
+
+// plantedRand returns a generator whose next raw outputs are draws.
+func plantedRand(draws ...uint64) *Rand {
+	g := NewRand(1)
+	copy(g.buf[:], draws)
+	g.pos = 0
+	return g
+}
+
+// sweepOneSpin runs one SA sweep at β = 1 over a single free spin whose
+// flip delta is exactly x, with the generator's next draws planted,
+// and reports whether the spin flipped and how many draws it consumed.
+func sweepOneSpin(x float64, draws ...uint64) (flipped bool, used uint) {
+	c := &Compiled{N: 1, H: []float64{-x / 2}, Off: []int32{0, 0}, Deg: []int32{0}}
+	words, delta, dirty := []uint64{0}, []float64{0}, []uint64{1}
+	g := plantedRand(draws...)
+	c.sweep(g, words, delta, dirty, 1)
+	return words[0] == 1, g.pos
 }
 
 // TestExpNegAccuracy bounds the fast exponential's relative error well

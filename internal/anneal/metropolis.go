@@ -1,36 +1,45 @@
 package anneal
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Metropolis acceptance without math.Exp on the hot path.
 //
 // The historical sampler decides every positive-delta move with
-// u < math.Exp(−β·d) after drawing u = rng.Float64(). math.Exp is ~half
-// the CPU time of a full QuantumMQO solve, yet almost every call is far
-// from the decision boundary: in the frozen late sweeps exp(−β·d) is
-// orders of magnitude below u, and in the hot early sweeps it is within
-// a few binary orders of 1. acceptPositive replaces the call with a
-// three-tier decision that returns the PROVABLY identical boolean:
+// u < math.Exp(−β·d) after drawing u = rng.Float64(), which is
+// float64(r)/2⁶³ for a 63-bit integer draw r (redrawn while the
+// quotient would round to 1.0). On paper-class programs 91–96% of spin
+// visits end in a rejected draw, and almost every decision is far from
+// the boundary: in the frozen late sweeps exp(−β·d) is orders of
+// magnitude below u, and in the hot early sweeps it is within a few
+// binary orders of 1. accept decides from r itself and returns the
+// PROVABLY identical boolean:
 //
-//  1. Exponent bracket (integer ops + a 64-entry table). With u ∈
-//     [2^e, 2^(e+1)) — e read straight from the IEEE-754 exponent —
-//     x ≥ −e·ln2 + slack forces exp(−x) < 2^e ≤ u (reject), and
-//     x ≤ −(e+1)·ln2 − slack forces exp(−x) > 2^(e+1) > u (accept).
-//     The 0.01 slack in x absorbs every rounding involved (table
-//     entries, the β·d product, math.Exp's ≤1-ulp error) with orders
-//     of magnitude to spare, because moving x by 0.01 moves exp(−x)
-//     by a factor e^0.01 ≈ 1.01, vastly more than any of them.
-//  2. Guarded fast exp. Inside the bracket's ±3-binary-order band,
-//     expNeg approximates exp(−x) to ~4e−11 relative error; u outside
-//     a ±1e−9 relative guard band around it decides immediately.
+//  1. Leading-zero bracket (a leading-zero count and a 64-entry table).
+//     With m = LeadingZeros64(r), r ∈ [2^(63−m), 2^(64−m)), so
+//     u ∈ [2^−m, 2^(1−m)] — closed above, because float64(r) may round
+//     up to the next power of two. x ≥ m·ln2 + slack forces
+//     exp(−x) < 2^−m ≤ u (reject), and x ≤ (m−1)·ln2 − slack forces
+//     exp(−x) > 2^(1−m) ≥ u (accept). The 0.01 slack in x absorbs every
+//     rounding involved (table entries, the β·d product, math.Exp's
+//     ≤1-ulp error) with orders of magnitude to spare, because moving x
+//     by 0.01 moves exp(−x) by a factor e^0.01 ≈ 1.01, vastly more than
+//     any of them.
+//  2. Guarded fast exp. Only a draw inside the bracket's band is
+//     converted to u. expNeg approximates exp(−x) to ~4e−11 relative
+//     error; u outside a ±1e−9 relative guard band around it decides
+//     immediately.
 //  3. math.Exp arbiter. Only a u inside the guard band — probability
 //     ~2e−9 per draw — falls through to the exact historical
 //     comparison. Correctness therefore never depends on expNeg's
 //     error bound; only the fall-through rate does.
 //
-// u == 0 (probability 2⁻⁶³) also falls through to math.Exp: 0 < exp(−x)
-// is true until exp underflows to exactly 0, and the arbiter reproduces
-// that boundary by construction.
+// r == 0 (probability 2⁻⁶³) has 64 leading zeros. The table index is
+// taken mod 64, and slot 0, which no nonzero 63-bit draw reaches, holds
+// +Inf/−Inf, so r == 0 skips the bracket and reaches the arbiter with
+// u = 0.
 
 const (
 	// expGuard is the relative half-width of the fast-exp guard band.
@@ -41,8 +50,9 @@ const (
 	ln2over32 = 0.021660849392498290
 )
 
-// rejectAbove[m] (m = −e, u ∈ [2^−m, 2^−m+1)) is the x beyond which
-// rejection is certain; acceptBelow[m] the x below which acceptance is.
+// rejectAbove[m] (m = LeadingZeros64(r) mod 64, u ∈ [2^−m, 2^(1−m)]) is
+// the x beyond which rejection is certain; acceptBelow[m] the x below
+// which acceptance is.
 var rejectAbove, acceptBelow [64]float64
 
 // exp2neg[j] is 2^(−j/32), the reduction table of expNeg.
@@ -50,6 +60,8 @@ var exp2neg [32]float64
 
 func init() {
 	const ln2 = 0.6931471805599453
+	rejectAbove[0] = math.Inf(1)
+	acceptBelow[0] = math.Inf(-1)
 	for m := 1; m < 64; m++ {
 		rejectAbove[m] = float64(m)*ln2 + 0.01
 		acceptBelow[m] = float64(m-1)*ln2 - 0.01
@@ -72,23 +84,16 @@ func expNeg(x float64) float64 {
 	return exp2neg[j] * p * math.Float64frombits(uint64(1023-k)<<52)
 }
 
-// acceptPositive reports u < math.Exp(−x) for x = β·d > 0 and
-// u = rng.Float64(), bit-for-bit equal to evaluating that expression.
-// The bracket fast path is small enough to inline into the sweep loops;
-// draws it cannot decide fall through to acceptBand.
-func acceptPositive(u, x float64) bool {
-	// u is normal and in (0, 1): exponent field − 1023 = e ∈ [−63, −1].
-	// u == 0 yields m = 1023, outside the table, and falls through.
-	m := uint(1023 - int(math.Float64bits(u)>>52)&0x7ff)
-	if m < 64 {
-		if x >= rejectAbove[m] {
-			return false
-		}
-		if x <= acceptBelow[m] {
-			return true
-		}
+// accept reports float64(r)/2⁶³ < math.Exp(−x) for x = β·d > 0 and a
+// 63-bit draw r < redrawAt, bit-for-bit equal to evaluating that
+// expression. SQA calls it; the SA sweep (kernel.go) carries a
+// hand-inlined copy.
+func accept(r uint64, x float64) bool {
+	m := bits.LeadingZeros64(r) & 63
+	if x >= rejectAbove[m] {
+		return false
 	}
-	return acceptBand(u, x)
+	return x <= acceptBelow[m] || acceptBand(float64(r)/(1<<63), x)
 }
 
 // acceptBand decides draws inside the bracket's ambiguous band (or the
@@ -96,10 +101,10 @@ func acceptPositive(u, x float64) bool {
 // math.Exp only inside the guard band.
 func acceptBand(u, x float64) bool {
 	if u == 0 || x > 709 {
-		// u == 0 has no exponent bracket; beyond x ≈ 709 exp(-x)
-		// leaves the normal float64 range and expNeg's 2^-k scaling
-		// constant with it. Neither is reachable from rand.Float64
-		// draws against bracketed x, but keep the function total.
+		// u == 0 has no bracket. Beyond x ≈ 709 exp(-x) leaves the
+		// normal float64 range and expNeg's 2^-k scaling constant with
+		// it; no nonzero draw reaches here with such an x (the bracket
+		// rejects every x above 63·ln2), but keep the function total.
 		return u < math.Exp(-x)
 	}
 	a := expNeg(x)

@@ -1,7 +1,6 @@
 package anneal
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/ising"
@@ -26,12 +25,11 @@ func TestSampleWarmIntoZeroSweepsReturnsInit(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 130} {
 		c := warmTestProgram(n)
 		init := make([]uint64, WordsFor(n))
-		rng := rand.New(rand.NewSource(7))
-		RandomSpinsInto(rng, n, init)
+		RandomSpinsInto(NewRand(7), n, init)
 
 		sa := &SimulatedAnnealer{Sweeps: 0, BetaStart: 0.1, BetaEnd: 8}
 		var sc Scratch
-		sa.SampleWarmInto(c, rand.New(rand.NewSource(1)), &sc, init)
+		sa.SampleWarmInto(c, NewRand(1), &sc, init)
 		for w, word := range sc.Words() {
 			if word != init[w] {
 				t.Fatalf("n=%d: zero-sweep warm read-out word %d = %x, want init %x", n, w, word, init[w])
@@ -44,12 +42,12 @@ func TestSampleWarmIntoDeterministic(t *testing.T) {
 	const n = 90
 	c := warmTestProgram(n)
 	init := make([]uint64, WordsFor(n))
-	RandomSpinsInto(rand.New(rand.NewSource(3)), n, init)
+	RandomSpinsInto(NewRand(3), n, init)
 	sa := DefaultSA()
 
 	run := func() []uint64 {
 		var sc Scratch
-		sa.SampleWarmInto(c, rand.New(rand.NewSource(42)), &sc, init)
+		sa.SampleWarmInto(c, NewRand(42), &sc, init)
 		out := make([]uint64, len(sc.Words()))
 		copy(out, sc.Words())
 		return out
@@ -62,7 +60,7 @@ func TestSampleWarmIntoDeterministic(t *testing.T) {
 	}
 	// init must not be mutated.
 	check := make([]uint64, WordsFor(n))
-	RandomSpinsInto(rand.New(rand.NewSource(3)), n, check)
+	RandomSpinsInto(NewRand(3), n, check)
 	for w := range check {
 		if init[w] != check[w] {
 			t.Fatalf("SampleWarmInto mutated init at word %d", w)
@@ -76,16 +74,16 @@ func TestSampleWarmIntoScratchReuse(t *testing.T) {
 	big := warmTestProgram(200)
 	small := warmTestProgram(40)
 	init := make([]uint64, WordsFor(40))
-	RandomSpinsInto(rand.New(rand.NewSource(5)), 40, init)
+	RandomSpinsInto(NewRand(5), 40, init)
 	sa := DefaultSA()
 
 	var fresh Scratch
-	sa.SampleWarmInto(small, rand.New(rand.NewSource(9)), &fresh, init)
+	sa.SampleWarmInto(small, NewRand(9), &fresh, init)
 	want := append([]uint64(nil), fresh.Words()...)
 
 	var reused Scratch
-	sa.SampleInto(big, rand.New(rand.NewSource(1)), &reused)
-	sa.SampleWarmInto(small, rand.New(rand.NewSource(9)), &reused, init)
+	sa.SampleInto(big, NewRand(1), &reused, nil)
+	sa.SampleWarmInto(small, NewRand(9), &reused, init)
 	got := reused.Words()
 	if len(got) != len(want) {
 		t.Fatalf("read-out length %d, want %d", len(got), len(want))
@@ -109,11 +107,11 @@ func TestSampleWarmIntoKeepsGroundState(t *testing.T) {
 
 	sa := DefaultSA()
 	var sc Scratch
-	sa.SampleWarmInto(c, rand.New(rand.NewSource(11)), &sc, ground)
+	sa.SampleWarmInto(c, NewRand(11), &sc, ground)
 	warmE := c.PackedEnergy(sc.Words())
 
 	var cold Scratch
-	sa.SampleInto(c, rand.New(rand.NewSource(11)), &cold)
+	sa.SampleInto(c, NewRand(11), &cold, nil)
 	coldE := c.PackedEnergy(cold.Words())
 	if warmE > coldE {
 		t.Fatalf("warm run from the ground state ended at %v, above the cold run's %v (ground %v)",

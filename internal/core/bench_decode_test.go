@@ -45,7 +45,7 @@ func BenchmarkDecodeReadout(b *testing.B) {
 			}
 			n := comp.Program.N
 			words := make([]uint64, anneal.WordsFor(n))
-			anneal.RandomSpinsInto(rng, n, words)
+			anneal.RandomSpinsInto(anneal.NewRand(rng.Int63()), n, words)
 			var sc solveScratch
 			sc.grow(n, comp.Phys.Logical.N(), p.NumQueries(), p.NumPlans())
 			b.ReportAllocs()
@@ -82,7 +82,7 @@ func TestDecodeReadoutAllocFree(t *testing.T) {
 	}
 	n := comp.Program.N
 	words := make([]uint64, anneal.WordsFor(n))
-	anneal.RandomSpinsInto(rng, n, words)
+	anneal.RandomSpinsInto(anneal.NewRand(rng.Int63()), n, words)
 	var sc solveScratch
 	sc.grow(n, comp.Phys.Logical.N(), p.NumQueries(), p.NumPlans())
 	decode := func() {

@@ -14,13 +14,12 @@
 // draws a fresh random gauge every RunsPerGauge runs precisely so batches
 // decorrelate — which makes them the natural unit of parallelism. Each
 // batch samples from its own random stream derived by SplitMix64 from the
-// session seed and the batch index, so spins, energies, and the modeled
-// device clock are bit-identical at any worker count.
+// session seed and the batch index, so spins and the modeled device
+// clock are bit-identical at any worker count.
 package dwave
 
 import (
 	"context"
-	"math/rand"
 	"time"
 
 	"repro/internal/anneal"
@@ -44,7 +43,7 @@ const (
 // Device is a simulated quantum annealer.
 type Device struct {
 	// Sampler performs the annealing cycle. It must be safe for
-	// concurrent use with distinct rand.Rand instances (the built-in
+	// concurrent use with distinct anneal.Rand instances (the built-in
 	// samplers are configuration-only and qualify).
 	Sampler anneal.Sampler
 	// AnnealTime and ReadoutTime are charged to the modeled clock per run.
@@ -59,11 +58,11 @@ type Device struct {
 	// starts every annealing run from this packed identity-gauge spin
 	// state (bit set ⇔ spin −1, WordsFor(N) words, trailing bits clear)
 	// instead of a uniform draw — the surrogate for hardware reverse
-	// annealing from a previous incumbent. Each gauge batch XORs the
-	// state into its own gauge before sampling. Warm runs draw a
-	// different rng sequence than cold runs (see anneal.WarmSampler);
-	// results remain bit-identical at any parallelism for a fixed
-	// (seed, Warm) pair.
+	// annealing from a previous incumbent. Sampling the original program
+	// from Warm is sampling the batch's gauged program from Warm⊕gauge,
+	// so the state is used as is. Warm runs draw a different rng
+	// sequence than cold runs (see anneal.WarmSampler); results remain
+	// bit-identical at any parallelism for a fixed (seed, Warm) pair.
 	Warm []uint64
 }
 
@@ -166,51 +165,36 @@ func (d *Device) Batches(runs int, seed int64) []Batch {
 }
 
 // Readout is one streamed annealing read-out: the packed spins (bit set
-// ⇔ spin −1, anneal's convention) already undone into the problem's
-// original gauge, their energy, and the modeled completion time. The
-// Words view aliases the worker's Scratch and is valid ONLY during the
-// StreamBatch yield that delivered it — consumers decode-then-discard,
-// copying out only what they keep (an incumbent).
+// ⇔ spin −1, anneal's convention) in the problem's original gauge, and
+// the modeled completion time. The Words view aliases the worker's
+// Scratch and is valid ONLY during the StreamBatch yield that delivered
+// it — consumers decode-then-discard, copying out only what they keep
+// (an incumbent).
 type Readout struct {
 	Words   []uint64
-	Energy  float64
 	Elapsed time.Duration
 }
 
-// Scratch is the per-worker arena of a sampling session: the sampler's
-// kernel arena plus the packed gauge mask and the original-gauge
-// read-out buffer. One worker owns it at a time and reuses it across
-// every run of every batch it executes, so steady-state runs allocate
-// nothing. The zero value is ready to use.
+// Scratch is the per-worker arena of a sampling session: the batch's
+// random generator, the sampler's kernel arena and the packed gauge
+// mask. One worker owns it at a time and reuses it across every run of
+// every batch it executes, so steady-state batches allocate nothing.
+// The zero value is ready to use.
 type Scratch struct {
+	rng    anneal.Rand
 	kernel anneal.Scratch
 	gauge  []uint64
-	orig   []uint64
-	warm   []uint64
-}
-
-// grow sizes the packed buffers for n spins.
-func (sc *Scratch) grow(n int) {
-	w := anneal.WordsFor(n)
-	if cap(sc.gauge) < w {
-		sc.gauge = make([]uint64, w)
-		sc.orig = make([]uint64, w)
-		sc.warm = make([]uint64, w)
-	}
-	sc.gauge = sc.gauge[:w]
-	sc.orig = sc.orig[:w]
-	sc.warm = sc.warm[:w]
 }
 
 // StreamBatch executes one gauge batch sequentially, yielding each
 // read-out in run order through sc without materializing any of them.
-// Spins and energies are expressed in the problem's original gauge.
-// original is p compiled in the identity gauge; callers compile it once
-// and share it across batches. p is read only when original is nil,
-// which compiles it on the spot. The batch is deterministic in b alone,
-// which is what lets it run on any worker without changing results. A
-// cancelled ctx stops between runs; yield returning false aborts the
-// remainder.
+// Spins are expressed in the problem's original gauge. original is p
+// compiled in the identity gauge; callers compile it once and share it
+// across batches, and every batch samples it under its own gauge. p is
+// read only when original is nil, which compiles it on the spot. The
+// batch is deterministic in b alone, which is what lets it run on any
+// worker without changing results. A cancelled ctx stops between runs;
+// yield returning false aborts the remainder.
 func (d *Device) StreamBatch(ctx context.Context, p *ising.Problem, original *anneal.Compiled, b Batch, sc *Scratch, yield func(Readout) bool) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -219,47 +203,40 @@ func (d *Device) StreamBatch(ctx context.Context, p *ising.Problem, original *an
 		original = anneal.Compile(p)
 	}
 	n := original.N
-	rng := rand.New(rand.NewSource(b.Seed))
-	gauge := ising.RandomGauge(rng, n)
-	if d.DisableGauges {
-		gauge = ising.IdentityGauge(n)
+	rng := &sc.rng
+	rng.Seed(b.Seed)
+	// The batch's gauge opens its stream: n Intn(2) draws, bit set ⇔
+	// spin reversed. DisableGauges still draws them, so the anneals
+	// that follow see the same stream either way.
+	w := anneal.WordsFor(n)
+	if cap(sc.gauge) < w {
+		sc.gauge = make([]uint64, w)
 	}
-	// Transform the shared identity-gauge program directly in CSR form:
-	// cheaper than rebuilding the Ising problem per batch, and the
-	// inherited neighbor order keeps rounding — and therefore read-outs
-	// — identical across gauge representations.
-	compiled := original.ApplyGauge(gauge.Flip)
-	sc.grow(n)
-	anneal.PackBools(gauge.Flip, sc.gauge)
-	// Warm start: the caller's identity-gauge incumbent state, expressed
-	// in this batch's gauge. Gauging negates the flipped spins, which in
-	// packed form is a word-wise XOR against the gauge mask.
+	gauge := sc.gauge[:w]
+	clear(gauge)
+	for i := 0; i < n; i++ {
+		gauge[i>>6] |= uint64(rng.Bit()) << (uint(i) & 63)
+	}
+	if d.DisableGauges {
+		gauge = nil
+	}
+	// Cold runs start from the uniform draw XOR the gauge (see
+	// anneal.Sampler); warm runs start from Warm itself. Either way the
+	// read-out is already in the original gauge.
 	warmSampler, _ := d.Sampler.(anneal.WarmSampler)
 	useWarm := warmSampler != nil && d.Warm != nil
-	if useWarm {
-		for w := range sc.warm {
-			sc.warm[w] = d.Warm[w] ^ sc.gauge[w]
-		}
-	}
 	perSample := d.TimePerSample()
 	for j := 0; j < b.Runs; j++ {
 		if ctx.Err() != nil {
 			return
 		}
 		if useWarm {
-			warmSampler.SampleWarmInto(compiled, rng, &sc.kernel, sc.warm)
+			warmSampler.SampleWarmInto(original, rng, &sc.kernel, d.Warm)
 		} else {
-			d.Sampler.SampleInto(compiled, rng, &sc.kernel)
-		}
-		// Undoing the gauge negates the flipped spins; in packed form
-		// (bit ⇔ −1) that is a word-wise XOR against the gauge mask.
-		words := sc.kernel.Words()
-		for w := range sc.orig {
-			sc.orig[w] = words[w] ^ sc.gauge[w]
+			d.Sampler.SampleInto(original, rng, &sc.kernel, gauge)
 		}
 		ro := Readout{
-			Words:   sc.orig,
-			Energy:  original.PackedEnergy(sc.orig),
+			Words:   sc.kernel.Words(),
 			Elapsed: time.Duration(b.Start+j+1) * perSample,
 		}
 		if !yield(ro) {

@@ -34,7 +34,7 @@ func randomProblem(seed int64, n int) *ising.Problem {
 }
 
 // reading is one read-out copied out of the scratch it was streamed
-// through.
+// through, with its energy in the original program.
 type reading struct {
 	Spins   []int8
 	Energy  float64
@@ -48,7 +48,7 @@ func streamBatch(d *Device, c *anneal.Compiled, b Batch, sc *Scratch) []reading 
 	d.StreamBatch(context.Background(), nil, c, b, sc, func(ro Readout) bool {
 		spins := make([]int8, c.N)
 		anneal.UnpackSpins(ro.Words, spins)
-		out = append(out, reading{Spins: spins, Energy: ro.Energy, Elapsed: ro.Elapsed})
+		out = append(out, reading{Spins: spins, Energy: c.PackedEnergy(ro.Words), Elapsed: ro.Elapsed})
 		return true
 	})
 	return out
@@ -104,20 +104,47 @@ func TestFindsTrivialGroundState(t *testing.T) {
 }
 
 func TestGaugeBatching(t *testing.T) {
-	// With RunsPerGauge = 2 and 5 runs, three gauges are drawn. Every
-	// energy must be evaluated in the ORIGINAL frame: verify each
-	// read-out's energy matches its spins.
-	d := NewDWave2X(DefaultSampler())
-	d.RunsPerGauge = 2
-	p := randomProblem(3, 6)
+	// With RunsPerGauge = 2 and 5 runs, three gauges are drawn. Each
+	// batch's stream opens with its gauge's n Intn(2) draws (bit set ⇔
+	// spin reversed), and every run then starts from its uniform draw
+	// XOR that gauge on the original program, so the read-outs are
+	// already in the original frame. Replay that by hand per batch.
+	// DisableGauges draws the same n bits and then discards them. A
+	// short hot schedule keeps every read-out dependent on where in the
+	// stream its run started.
+	p := randomProblem(3, 40)
 	c := anneal.Compile(p)
-	got := session(d, p, 5, 3)
-	if len(got) != 5 {
-		t.Errorf("streamed %d read-outs, want 5", len(got))
-	}
-	for _, r := range got {
-		if math.Abs(c.Energy(r.Spins)-r.Energy) > 1e-9 {
-			t.Errorf("read-out energy %v does not match spins (%v)", r.Energy, c.Energy(r.Spins))
+	sa := &anneal.SimulatedAnnealer{Sweeps: 3, BetaStart: 0.1, BetaEnd: 0.5}
+	for _, disable := range []bool{false, true} {
+		d := NewDWave2X(sa)
+		d.RunsPerGauge = 2
+		d.DisableGauges = disable
+		var want []reading
+		gauged := 0
+		for _, b := range d.Batches(5, 3) {
+			rng := anneal.NewRand(b.Seed)
+			gauge := make([]uint64, anneal.WordsFor(c.N))
+			for i := 0; i < c.N; i++ {
+				bit := rng.Bit()
+				gauge[i>>6] |= uint64(bit) << (i & 63)
+				gauged += bit
+			}
+			if disable {
+				gauge = nil
+			}
+			var sc anneal.Scratch
+			for j := 0; j < b.Runs; j++ {
+				sa.SampleInto(c, rng, &sc, gauge)
+				spins := make([]int8, c.N)
+				anneal.UnpackSpins(sc.Words(), spins)
+				want = append(want, reading{spins, c.PackedEnergy(sc.Words()), time.Duration(b.Start+j+1) * d.TimePerSample()})
+			}
+		}
+		if gauged == 0 {
+			t.Fatal("every drawn gauge was the identity; pick another seed")
+		}
+		if got := session(d, p, 5, 3); !reflect.DeepEqual(got, want) {
+			t.Errorf("DisableGauges=%v: streamed read-outs differ from the by-hand gauge replay", disable)
 		}
 	}
 }
@@ -227,6 +254,37 @@ func TestStreamBatchIndependentOfBatchOrder(t *testing.T) {
 	// A different seed must change the stream (the split is not constant).
 	if other := session(d, p, 130, 43); reflect.DeepEqual(other, session(d, p, 130, 42)) {
 		t.Error("seed 42 and 43 produced identical sessions")
+	}
+}
+
+// TestStreamBatchAllocFree: on a warm scratch a whole batch, cold or
+// warm, gauged or not, allocates nothing — the generator is re-seeded
+// in place and the gauge lives in the scratch's packed mask.
+func TestStreamBatchAllocFree(t *testing.T) {
+	p := randomProblem(5, 70)
+	c := anneal.Compile(p)
+	warm := make([]uint64, anneal.WordsFor(c.N))
+	anneal.RandomSpinsInto(anneal.NewRand(6), c.N, warm)
+	for _, tc := range []struct {
+		name    string
+		disable bool
+		warm    []uint64
+	}{{"cold", false, nil}, {"cold-nogauge", true, nil}, {"warm", false, warm}} {
+		d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 4, BetaStart: 0.1, BetaEnd: 8})
+		d.RunsPerGauge = 5
+		d.DisableGauges = tc.disable
+		d.Warm = tc.warm
+		batches := d.Batches(20, 7)
+		var sc Scratch
+		yield := func(Readout) bool { return true }
+		d.StreamBatch(context.Background(), nil, c, batches[0], &sc, yield)
+		i := 0
+		if a := testing.AllocsPerRun(10, func() {
+			d.StreamBatch(context.Background(), nil, c, batches[i%len(batches)], &sc, yield)
+			i++
+		}); a != 0 {
+			t.Errorf("%s: StreamBatch allocates %v times per batch on a warm scratch, want 0", tc.name, a)
+		}
 	}
 }
 

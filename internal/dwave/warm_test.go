@@ -2,7 +2,6 @@ package dwave
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,12 +12,12 @@ import (
 // TestWarmStartGaugeRoundTrip pins the gauge algebra of the warm path:
 // with a zero-sweep sampler every run reads out exactly its initial
 // state, so the original-gauge read-out must equal the warm words for
-// EVERY random gauge (warm ⊕ gauge sampled, then ⊕ gauge undone).
+// EVERY random gauge (the gauge never touches a warm start).
 func TestWarmStartGaugeRoundTrip(t *testing.T) {
 	p := trivialProblem(70)
 	d := NewDWave2X(&anneal.SimulatedAnnealer{Sweeps: 0, BetaStart: 0.1, BetaEnd: 8})
 	warm := make([]uint64, anneal.WordsFor(p.N()))
-	anneal.RandomSpinsInto(rand.New(rand.NewSource(21)), p.N(), warm)
+	anneal.RandomSpinsInto(anneal.NewRand(21), p.N(), warm)
 	d.Warm = warm
 
 	var sc Scratch
@@ -42,7 +41,7 @@ func TestWarmStartDeterministicAtAnyParallelism(t *testing.T) {
 	p := trivialProblem(40)
 	c := anneal.Compile(p)
 	warm := make([]uint64, anneal.WordsFor(p.N()))
-	anneal.RandomSpinsInto(rand.New(rand.NewSource(2)), p.N(), warm)
+	anneal.RandomSpinsInto(anneal.NewRand(2), p.N(), warm)
 	d := NewDWave2X(anneal.DefaultSA())
 	d.Warm = warm
 	batches := d.Batches(500, 9)

@@ -1,13 +1,12 @@
 // Package ising models Ising spin problems, the native formalism of the
 // D-Wave hardware: minimize Σ_i h_i·s_i + Σ_{i<j} J_ij·s_i·s_j over spins
 // s ∈ {−1,+1}^n. It converts to and from QUBO form (the formalism used by
-// the paper's mappings) and draws the gauge transformations of Section
-// 7.1, which anneal.Compiled.ApplyGauge applies to compiled programs.
+// the paper's mappings). The gauge transformations of Section 7.1 are
+// drawn per batch by internal/dwave as packed masks.
 package ising
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/qubo"
@@ -197,24 +196,3 @@ func BitsToSpins(x []bool) []int8 {
 	}
 	return s
 }
-
-// Gauge is a random spin-reversal transformation (Boixo et al., cited in
-// Section 7.1): for each qubit it picks which physical state represents a
-// logical one. Applying a gauge flips the signs of h_i for flipped spins
-// and of J_ij for couplings with exactly one flipped endpoint; the problem
-// spectrum is unchanged up to the spin relabeling.
-type Gauge struct {
-	Flip []bool
-}
-
-// RandomGauge draws a uniform gauge over n spins.
-func RandomGauge(rng *rand.Rand, n int) Gauge {
-	g := Gauge{Flip: make([]bool, n)}
-	for i := range g.Flip {
-		g.Flip[i] = rng.Intn(2) == 1
-	}
-	return g
-}
-
-// IdentityGauge flips nothing.
-func IdentityGauge(n int) Gauge { return Gauge{Flip: make([]bool, n)} }

@@ -84,18 +84,6 @@ func TestFlipDeltaMatchesEnergyDifference(t *testing.T) {
 	}
 }
 
-func TestIdentityGauge(t *testing.T) {
-	g := IdentityGauge(6)
-	if len(g.Flip) != 6 {
-		t.Fatalf("identity gauge has %d entries, want 6", len(g.Flip))
-	}
-	for i, f := range g.Flip {
-		if f {
-			t.Errorf("identity gauge flips spin %d", i)
-		}
-	}
-}
-
 func TestSpinBitConversions(t *testing.T) {
 	s := []int8{1, -1, 1}
 	x := SpinsToBits(s)

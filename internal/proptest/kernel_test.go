@@ -3,6 +3,7 @@ package proptest
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/anneal"
@@ -14,8 +15,13 @@ import (
 // equivalence with the straightforward ±1-slice implementation it
 // replaced: same rng stream, same acceptance decisions, same read-out.
 // These properties pin that claim against naive references retained
-// here verbatim from the pre-kernel samplers, across hardware-shaped
-// programs on all three topology kinds and random gauge transforms.
+// here verbatim from the pre-kernel samplers, which draw from
+// math/rand while the kernel draws from anneal.Rand, across
+// hardware-shaped programs on all three topology kinds and random
+// gauges. Under a gauge the naive side anneals the sign-flipped
+// (gauged) program and undoes the gauge on its read-out, while the
+// kernel anneals the one original program from a start XOR the gauge
+// mask; the properties below pin that both give the same read-out.
 
 // naiveSA is the pre-kernel SimulatedAnnealer.Sample: dense ±1 slice
 // state, naive FlipDelta recomputation, math.Exp Metropolis test.
@@ -109,6 +115,49 @@ func randomTopoProgram(t *testing.T, rng *rand.Rand, kind string) *anneal.Compil
 	return anneal.Compile(p)
 }
 
+// randomMask draws a packed spin-reversal mask over n spins (bit set ⇔
+// spin reversed).
+func randomMask(rng *rand.Rand, n int) []uint64 {
+	mask := make([]uint64, anneal.WordsFor(n))
+	for i := 0; i < n; i++ {
+		mask[i>>6] |= uint64(rng.Intn(2)) << (uint(i) & 63)
+	}
+	return mask
+}
+
+// gaugeProgram builds the spin-reversal transform of c under mask:
+// h_i changes sign where bit i is set, and J_ij where exactly one
+// endpoint's bit is, each as an IEEE-754 sign-bit flip. The topology
+// arrays are shared, so neighbor order (and rounding) is c's.
+func gaugeProgram(c *anneal.Compiled, mask []uint64) *anneal.Compiled {
+	bit := func(i int32) uint64 { return mask[i>>6] >> (uint(i) & 63) & 1 }
+	g := *c
+	g.H = make([]float64, c.N)
+	g.W = make([]float64, len(c.W))
+	g.PW = make([]uint64, len(c.PW))
+	for i := int32(0); int(i) < c.N; i++ {
+		fi := bit(i)
+		g.H[i] = math.Float64frombits(math.Float64bits(c.H[i]) ^ fi<<63)
+		for k := c.Off[i]; k < c.Off[i+1]; k++ {
+			g.W[k] = math.Float64frombits(math.Float64bits(c.W[k]) ^ (fi^bit(c.Nbr[k]))<<63)
+		}
+		for k := 0; k < int(c.Deg[i]); k++ {
+			at := int(i)*c.Stride + k
+			g.PW[at] = c.PW[at] ^ (fi^bit(c.PNbr[at]))<<63
+		}
+	}
+	return &g
+}
+
+// xorWords returns a ⊕ b.
+func xorWords(a, b []uint64) []uint64 {
+	out := make([]uint64, len(a))
+	for w := range a {
+		out[w] = a[w] ^ b[w]
+	}
+	return out
+}
+
 // TestKernelEnergyAndDeltaBitExact: on every topology kind and random
 // gauge, the packed energy and flip-delta evaluations equal the naive
 // slice forms bit-for-bit (== on float64, not a tolerance).
@@ -119,11 +168,7 @@ func TestKernelEnergyAndDeltaBitExact(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			prog := c
 			if trial > 0 { // trial 0 is the identity gauge
-				flip := make([]bool, c.N)
-				for i := range flip {
-					flip[i] = rng.Intn(2) == 0
-				}
-				prog = c.ApplyGauge(flip)
+				prog = gaugeProgram(c, randomMask(rng, c.N))
 			}
 			s := anneal.RandomSpins(rng, prog.N)
 			words := make([]uint64, anneal.WordsFor(prog.N))
@@ -143,9 +188,11 @@ func TestKernelEnergyAndDeltaBitExact(t *testing.T) {
 // TestKernelSweepsMatchNaive: a full SA and SQA run from the same seed
 // produces the identical read-out through the packed kernel and the
 // naive reference — the rng-draw sequence, every Metropolis decision,
-// and the final state all preserved. The scratch is deliberately shared
-// across kinds, gauges, and samplers so any state leaking between runs
-// would break the comparison.
+// and the final state all preserved. Under a gauge the naive reference
+// anneals the gauged program and undoes the gauge on its read-out, and
+// the kernel anneals the original program from its start XOR the mask.
+// The scratch is deliberately shared across kinds, gauges, and samplers
+// so any state leaking between runs would break the comparison.
 func TestKernelSweepsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	sa := anneal.DefaultSA()
@@ -154,31 +201,76 @@ func TestKernelSweepsMatchNaive(t *testing.T) {
 	for _, kind := range []string{topology.ChimeraKind, topology.PegasusKind, topology.ZephyrKind} {
 		c := randomTopoProgram(t, rng, kind)
 		for trial := 0; trial < 3; trial++ {
+			var mask []uint64
 			prog := c
 			if trial > 0 {
-				flip := make([]bool, c.N)
-				for i := range flip {
-					flip[i] = rng.Intn(2) == 0
-				}
-				prog = c.ApplyGauge(flip)
+				mask = randomMask(rng, c.N)
+				prog = gaugeProgram(c, mask)
 			}
 			seed := rng.Int63()
-
-			want := naiveSA(sa, prog, rand.New(rand.NewSource(seed)))
-			sa.SampleInto(prog, rand.New(rand.NewSource(seed)), sc)
-			got := sc.Spins()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s trial %d: SA spin %d kernel %d != naive %d", kind, trial, i, got[i], want[i])
+			check := func(name string, naive []int8) {
+				t.Helper()
+				want := make([]uint64, anneal.WordsFor(c.N))
+				anneal.PackSpins(naive, want)
+				if mask != nil {
+					want = xorWords(want, mask)
+				}
+				got := sc.Words()
+				for w := range want {
+					if got[w] != want[w] {
+						t.Fatalf("%s trial %d: %s read-out word %d kernel %#x != naive %#x", kind, trial, name, w, got[w], want[w])
+					}
 				}
 			}
 
-			want = naiveSQA(sqa, prog, rand.New(rand.NewSource(seed)))
-			sqa.SampleInto(prog, rand.New(rand.NewSource(seed)), sc)
-			got = sc.Spins()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s trial %d: SQA spin %d kernel %d != naive %d", kind, trial, i, got[i], want[i])
+			naive := naiveSA(sa, prog, rand.New(rand.NewSource(seed)))
+			sa.SampleInto(c, anneal.NewRand(seed), sc, mask)
+			check("SA", naive)
+
+			naive = naiveSQA(sqa, prog, rand.New(rand.NewSource(seed)))
+			sqa.SampleInto(c, anneal.NewRand(seed), sc, mask)
+			check("SQA", naive)
+		}
+	}
+}
+
+// TestGaugeIdentity: on every topology kind, a kernel run on the
+// original program from start s⊕g equals a run on the gauged program
+// from s, XOR g — for SA cold, SA warm and SQA. This is the identity
+// that lets each gauge batch sample the one compiled program.
+func TestGaugeIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	sa := &anneal.SimulatedAnnealer{Sweeps: 24, BetaStart: 0.1, BetaEnd: 8}
+	sqa := &anneal.SQA{Slices: 4, Sweeps: 16, Beta: 8, GammaStart: 3, GammaEnd: 0.05}
+	for _, kind := range []string{topology.ChimeraKind, topology.PegasusKind, topology.ZephyrKind} {
+		c := randomTopoProgram(t, rng, kind)
+		for trial := 0; trial < 4; trial++ {
+			mask := randomMask(rng, c.N)
+			gauged := gaugeProgram(c, mask)
+			seed := rng.Int63()
+			init := randomMask(rng, c.N) // any packed state
+			runs := []struct {
+				name                 string
+				onOriginal, onGauged func(sc *anneal.Scratch)
+			}{
+				{"SA cold",
+					func(sc *anneal.Scratch) { sa.SampleInto(c, anneal.NewRand(seed), sc, mask) },
+					func(sc *anneal.Scratch) { sa.SampleInto(gauged, anneal.NewRand(seed), sc, nil) }},
+				{"SA warm",
+					func(sc *anneal.Scratch) { sa.SampleWarmInto(c, anneal.NewRand(seed), sc, init) },
+					func(sc *anneal.Scratch) {
+						sa.SampleWarmInto(gauged, anneal.NewRand(seed), sc, xorWords(init, mask))
+					}},
+				{"SQA",
+					func(sc *anneal.Scratch) { sqa.SampleInto(c, anneal.NewRand(seed), sc, mask) },
+					func(sc *anneal.Scratch) { sqa.SampleInto(gauged, anneal.NewRand(seed), sc, nil) }},
+			}
+			for _, run := range runs {
+				var a, b anneal.Scratch
+				run.onOriginal(&a)
+				run.onGauged(&b)
+				if got, want := a.Words(), xorWords(b.Words(), mask); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d: %s on the original program from s⊕g differs from the gauged run from s, XOR g", kind, trial, run.name)
 				}
 			}
 		}
