@@ -121,10 +121,11 @@ func TestEndToEndPhysicalEnergyAccounting(t *testing.T) {
 		}
 		logicalBits := mapping.Encode(sol)
 		physBits := phys.Embed(logicalBits)
-		spins := ising.BitsToSpins(physBits)
-		// Ising energy == physical QUBO energy == logical energy, and
+		words := make([]uint64, anneal.WordsFor(compiled.N))
+		anneal.PackSpins(ising.BitsToSpins(physBits), words)
+		// Program energy == physical QUBO energy == logical energy, and
 		// logical energy + |Q|·wL == MQO cost for valid solutions.
-		e := compiled.Energy(spins)
+		e := compiled.PackedEnergy(words)
 		if got := mapping.CostFromEnergy(e); math.Abs(got-cost) > 1e-6 {
 			t.Fatalf("trial %d: Ising energy decodes to cost %v, want %v", trial, got, cost)
 		}

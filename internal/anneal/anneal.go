@@ -8,6 +8,7 @@
 package anneal
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/ising"
@@ -45,79 +46,46 @@ type WarmSampler interface {
 	SampleWarmInto(p *Compiled, rng *Rand, sc *Scratch, init []uint64)
 }
 
-// Compiled is a frozen Ising sampling program: the CSR form consumed by
-// the naive reference loops (LocalField/FlipDelta/Energy) plus the
-// fixed-stride padded kernel layout the streaming sweep runs on (see
-// kernel.go). Compile once per problem, sample many times, under every
-// gauge; a Compiled is never mutated after Compile returns.
+// Compiled is a frozen Ising sampling program in the fixed-stride padded
+// layout the streaming sweep runs on (see kernel.go). Row i holds spin
+// i's couplings in the Ising problem's row order, so every local field
+// and energy sums the same terms in the same order as
+// ising.Problem.FlipDelta and Energy. Compile once per problem, sample
+// many times, under every gauge; a Compiled is never mutated after
+// Compile returns.
 type Compiled struct {
-	N   int
-	H   []float64
-	Off []int32 // CSR offsets into Nbr/W, length N+1
-	Nbr []int32
-	W   []float64
+	N int
+	H []float64
 	// Offset is carried through so energies remain comparable.
 	Offset float64
 
-	// Kernel layout: padded rows of Stride entries per spin holding the
-	// CSR row in the same order. Deg/PNbr describe topology; PW holds
-	// the raw IEEE-754 weight bits.
+	// Kernel layout: padded rows of Stride entries per spin. Deg/PNbr
+	// describe topology; PW holds the raw IEEE-754 weight bits.
 	Stride int
 	Deg    []int32
 	PNbr   []int32
 	PW     []uint64
 }
 
-// Compile converts an Ising problem into CSR form and precomputes the
-// padded kernel layout.
+// Compile packs an Ising problem's rows into the padded kernel layout.
 func Compile(p *ising.Problem) *Compiled {
 	n := p.N()
-	c := &Compiled{N: n, H: make([]float64, n), Off: make([]int32, n+1), Offset: p.Offset}
-	total := 0
+	c := &Compiled{N: n, H: make([]float64, n), Deg: make([]int32, n), Offset: p.Offset}
 	for i := 0; i < n; i++ {
 		c.H[i] = p.Field(i)
-		total += len(p.Neighbors(i))
+		c.Deg[i] = int32(len(p.Neighbors(i)))
+		c.Stride = max(c.Stride, len(p.Neighbors(i)))
 	}
-	c.Nbr = make([]int32, 0, total)
-	c.W = make([]float64, 0, total)
+	c.PNbr = make([]int32, n*c.Stride)
+	c.PW = make([]uint64, n*c.Stride)
 	for i := 0; i < n; i++ {
-		c.Off[i] = int32(len(c.Nbr))
-		for _, t := range p.Neighbors(i) {
-			c.Nbr = append(c.Nbr, int32(t.Other))
-			c.W = append(c.W, t.W)
+		base := i * c.Stride
+		for k, t := range p.Neighbors(i) {
+			c.PNbr[base+k] = int32(t.Other)
+			c.PW[base+k] = math.Float64bits(t.W)
 		}
 	}
-	c.Off[n] = int32(len(c.Nbr))
-	c.buildKernel()
 	return c
-}
-
-// LocalField returns h_i + Σ_j J_ij·s_j, the effective field on spin i.
-func (c *Compiled) LocalField(s []int8, i int) float64 {
-	f := c.H[i]
-	for k := c.Off[i]; k < c.Off[i+1]; k++ {
-		f += c.W[k] * float64(s[c.Nbr[k]])
-	}
-	return f
-}
-
-// FlipDelta returns the energy change from flipping spin i.
-func (c *Compiled) FlipDelta(s []int8, i int) float64 {
-	return -2 * float64(s[i]) * c.LocalField(s, i)
-}
-
-// Energy evaluates the Hamiltonian.
-func (c *Compiled) Energy(s []int8) float64 {
-	e := c.Offset
-	for i := 0; i < c.N; i++ {
-		e += c.H[i] * float64(s[i])
-		for k := c.Off[i]; k < c.Off[i+1]; k++ {
-			if j := int(c.Nbr[k]); j > i {
-				e += c.W[k] * float64(s[i]) * float64(s[j])
-			}
-		}
-	}
-	return e
 }
 
 // RandomSpins draws a uniform spin state.

@@ -22,6 +22,9 @@ func randomIsing(rng *rand.Rand, n int, density float64) *ising.Problem {
 	return p
 }
 
+// TestCompiledEnergyMatchesIsing: the packed program's energy equals
+// the Ising problem's bit for bit, because its rows keep the problem's
+// row order.
 func TestCompiledEnergyMatchesIsing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
@@ -30,7 +33,9 @@ func TestCompiledEnergyMatchesIsing(t *testing.T) {
 		p.Offset = rng.NormFloat64()
 		c := Compile(p)
 		s := RandomSpins(rng, n)
-		if got, want := c.Energy(s), p.Energy(s); math.Abs(got-want) > 1e-9 {
+		words := make([]uint64, WordsFor(n))
+		PackSpins(s, words)
+		if got, want := c.PackedEnergy(words), p.Energy(s); got != want {
 			t.Fatalf("trial %d: compiled energy %v != ising energy %v", trial, got, want)
 		}
 	}
@@ -40,13 +45,16 @@ func TestCompiledFlipDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(10)
-		c := Compile(randomIsing(rng, n, 0.5))
+		p := randomIsing(rng, n, 0.5)
+		c := Compile(p)
 		s := RandomSpins(rng, n)
+		words := make([]uint64, WordsFor(n))
+		PackSpins(s, words)
 		i := rng.Intn(n)
-		before := c.Energy(s)
-		d := c.FlipDelta(s, i)
+		before := p.Energy(s)
+		d := c.PackedFlipDelta(words, i)
 		s[i] = -s[i]
-		if got := c.Energy(s) - before; math.Abs(got-d) > 1e-9 {
+		if got := p.Energy(s) - before; math.Abs(got-d) > 1e-9 {
 			t.Fatalf("trial %d: FlipDelta %v != true delta %v", trial, d, got)
 		}
 	}
@@ -81,7 +89,7 @@ func TestSAFindsGroundStateSmall(t *testing.T) {
 		best := math.Inf(1)
 		for run := 0; run < 30; run++ {
 			s := sample(sa, c, draws)
-			if e := c.Energy(s); e < best {
+			if e := p.Energy(s); e < best {
 				best = e
 			}
 		}
@@ -102,7 +110,7 @@ func TestSQAFindsGroundStateSmall(t *testing.T) {
 		best := math.Inf(1)
 		for run := 0; run < 20; run++ {
 			s := sample(sq, c, draws)
-			if e := c.Energy(s); e < best {
+			if e := p.Energy(s); e < best {
 				best = e
 			}
 		}
@@ -171,7 +179,7 @@ func TestSAOnFrustratedChain(t *testing.T) {
 	sa := DefaultSA()
 	best := math.Inf(1)
 	for run := 0; run < 50; run++ {
-		if e := c.Energy(sample(sa, c, rng)); e < best {
+		if e := p.Energy(sample(sa, c, rng)); e < best {
 			best = e
 		}
 	}
@@ -193,7 +201,7 @@ func TestSQAReturnsBestReplica(t *testing.T) {
 	sq := DefaultSQA()
 	s := sample(sq, c, rng)
 	// Ground state: all bits one (all spins +1), energy -6.
-	if e := c.Energy(s); e > -6+1e-9 {
+	if e := p.Energy(s); e > -6+1e-9 {
 		t.Errorf("SQA energy %v on trivial problem, want -6", e)
 	}
 }

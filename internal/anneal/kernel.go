@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the allocation-free streaming kernel behind Sampler. The
-// sweep inner loops dominate every QA solve, so the kernel trades the
-// generic CSR-offset walk for a layout and caching scheme tuned to the
+// sweep inner loops dominate every QA solve, so the kernel trades a
+// generic adjacency walk for a layout and caching scheme tuned to the
 // low-degree annealer topologies (Chimera deg ≤ 6, Pegasus ≤ 15,
 // Zephyr ≤ 20):
 //
@@ -41,7 +41,7 @@ import (
 //   - Rand yields math/rand's exact stream, and the sweep's inlined draw
 //     redraws exactly where rand.Float64 does;
 //   - ±w and ±h are sign-bit flips (exact); deltas are recomputed in the
-//     ORIGINAL CSR neighbor order whenever a neighbor flipped, not
+//     Ising problem's row order whenever a neighbor flipped, not
 //     incrementally accumulated (float accumulation would drift in the
 //     low bits and could flip a d ≤ 0 decision);
 //   - a cached delta is reused only while no neighbor flipped, in which
@@ -114,39 +114,17 @@ func xorMask(words, gauge []uint64) {
 	}
 }
 
-// buildKernel precomputes the fixed-stride padded neighbor layout from
-// the CSR arrays.
-func (c *Compiled) buildKernel() {
-	stride := 0
-	for i := 0; i < c.N; i++ {
-		if d := int(c.Off[i+1] - c.Off[i]); d > stride {
-			stride = d
-		}
-	}
-	c.Stride = stride
-	c.Deg = make([]int32, c.N)
-	c.PNbr = make([]int32, c.N*stride)
-	c.PW = make([]uint64, c.N*stride)
-	for i := 0; i < c.N; i++ {
-		base := i * stride
-		lo, hi := c.Off[i], c.Off[i+1]
-		c.Deg[i] = hi - lo
-		for k := lo; k < hi; k++ {
-			c.PNbr[base+int(k-lo)] = c.Nbr[k]
-			c.PW[base+int(k-lo)] = math.Float64bits(c.W[k])
-		}
-	}
-}
-
 // PackedFlipDelta returns the energy change from flipping packed spin i:
-// bit-identical to FlipDelta on the equivalent []int8 state (the padded
-// row preserves CSR neighbor order and every sign application is exact).
+// bit-identical to ising.Problem.FlipDelta on the equivalent []int8
+// state (the padded row keeps the Ising row order and every sign
+// application is exact).
 func (c *Compiled) PackedFlipDelta(words []uint64, i int) float64 {
 	return -2 * spinSign(words, i) * c.packedLocalField(words, i)
 }
 
-// packedLocalField is LocalField over the packed state: h_i plus the
-// sign-adjusted row weights, accumulated in CSR order.
+// packedLocalField is the local field h_i + Σ_j J_ij·s_j over the packed
+// state: h_i plus the sign-adjusted row weights, accumulated in row
+// order.
 func (c *Compiled) packedLocalField(words []uint64, i int) float64 {
 	f := c.H[i]
 	base := i * c.Stride
@@ -162,9 +140,9 @@ func (c *Compiled) packedLocalField(words []uint64, i int) float64 {
 }
 
 // PackedEnergy evaluates the Hamiltonian over the packed state,
-// bit-identical to Energy on the equivalent []int8 state: the i-major
-// traversal, the j > i filter, and the term order all match, and the
-// ±1 products are exact sign-bit flips.
+// bit-identical to ising.Problem.Energy on the equivalent []int8 state:
+// the i-major traversal, the j > i filter, and the term order all
+// match, and the ±1 products are exact sign-bit flips.
 func (c *Compiled) PackedEnergy(words []uint64) float64 {
 	e := c.Offset
 	for i := 0; i < c.N; i++ {

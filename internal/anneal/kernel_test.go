@@ -45,12 +45,13 @@ func TestPackedFlipDeltaMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + rng.Intn(80)
-		c := Compile(randomIsing(rng, n, 0.2))
+		p := randomIsing(rng, n, 0.2)
+		c := Compile(p)
 		s := RandomSpins(rng, n)
 		words := make([]uint64, WordsFor(n))
 		PackSpins(s, words)
 		for i := 0; i < n; i++ {
-			if got, want := c.PackedFlipDelta(words, i), c.FlipDelta(s, i); got != want {
+			if got, want := c.PackedFlipDelta(words, i), p.FlipDelta(s, i); got != want {
 				t.Fatalf("trial %d spin %d: PackedFlipDelta %v != FlipDelta %v (bit-exactness required)", trial, i, got, want)
 			}
 		}
@@ -160,7 +161,7 @@ func plantedRand(draws ...uint64) *Rand {
 // flip delta is exactly x, with the generator's next draws planted,
 // and reports whether the spin flipped and how many draws it consumed.
 func sweepOneSpin(x float64, draws ...uint64) (flipped bool, used uint) {
-	c := &Compiled{N: 1, H: []float64{-x / 2}, Off: []int32{0, 0}, Deg: []int32{0}}
+	c := &Compiled{N: 1, H: []float64{-x / 2}, Deg: []int32{0}}
 	words, delta, dirty := []uint64{0}, []float64{0}, []uint64{1}
 	g := plantedRand(draws...)
 	c.sweep(g, words, delta, dirty, 1)

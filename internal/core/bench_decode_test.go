@@ -12,9 +12,9 @@ import (
 
 // BenchmarkDecodeReadout measures the zero-copy read-out decode chain on
 // a warm solve scratch: unpack physical bits, unembed chains, descend
-// the logical QUBO, decode+repair into an MQO solution, swap-descend,
-// and cost it — exactly the per-read-out work of the streaming solve
-// loop. Instances are sized to the hardware graph (three queries per
+// the logical QUBO, decode+repair into a solution of the caller's
+// problem, swap-descend, and cost it — exactly the per-read-out work of
+// the streaming solve loop. Instances are sized to the hardware graph (three queries per
 // unit cell, the paper's 537-on-12×12 density rounded down).
 func BenchmarkDecodeReadout(b *testing.B) {
 	for _, grid := range []struct {
@@ -47,15 +47,11 @@ func BenchmarkDecodeReadout(b *testing.B) {
 			words := make([]uint64, anneal.WordsFor(n))
 			anneal.RandomSpinsInto(anneal.NewRand(rng.Int63()), n, words)
 			var sc solveScratch
-			sc.grow(n, comp.Phys.Logical.N(), p.NumQueries(), p.NumPlans())
+			sc.grow(n, comp.QUBO.N(), p.NumQueries(), p.NumPlans())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				anneal.UnpackBits(words, sc.bits)
-				comp.Phys.UnembedInto(sc.bits, sc.logical)
-				comp.Mapping.QUBO.FirstImprovementDescent(sc.logical, 16)
-				sol := comp.Mapping.DecodeInto(sc.logical, sc.sol, sc.selected)
-				swapDescentWith(p, sol, sc.selected)
+				sol, _ := comp.decode(p, words, &sc, true)
 				if _, cerr := p.CostWith(sol, sc.selected); cerr != nil {
 					b.Fatalf("decoded solution invalid: %v", cerr)
 				}
@@ -84,13 +80,9 @@ func TestDecodeReadoutAllocFree(t *testing.T) {
 	words := make([]uint64, anneal.WordsFor(n))
 	anneal.RandomSpinsInto(anneal.NewRand(rng.Int63()), n, words)
 	var sc solveScratch
-	sc.grow(n, comp.Phys.Logical.N(), p.NumQueries(), p.NumPlans())
+	sc.grow(n, comp.QUBO.N(), p.NumQueries(), p.NumPlans())
 	decode := func() {
-		anneal.UnpackBits(words, sc.bits)
-		comp.Phys.UnembedInto(sc.bits, sc.logical)
-		comp.Mapping.QUBO.FirstImprovementDescent(sc.logical, 16)
-		sol := comp.Mapping.DecodeInto(sc.logical, sc.sol, sc.selected)
-		swapDescentWith(p, sol, sc.selected)
+		sol, _ := comp.decode(p, words, &sc, true)
 		if _, cerr := p.CostWith(sol, sc.selected); cerr != nil {
 			t.Fatalf("decoded solution invalid: %v", cerr)
 		}

@@ -12,43 +12,46 @@ import (
 	"repro/internal/logical"
 	"repro/internal/mqo"
 	"repro/internal/plancache"
+	"repro/internal/qubo"
 )
 
-// Compiled is the full compilation artifact of one (problem, topology,
-// pattern, weights) combination: everything QuantumMQO needs before the
-// first annealing run. Compilation — the logical MQO→QUBO mapping, the
-// minor embedding into the Chimera graph, the physical weight expansion,
-// and the CSR sampling program — is the wall-clock hot path of the
-// pipeline (the paper reports 112-135 ms per test case, against
-// microseconds of modeled anneal time), which makes Compiled the natural
-// unit of caching across Solve requests. The minor embedding targets
-// whichever hardware topology the options carry — Chimera, Pegasus, or
-// Zephyr — and the cache key includes the topology's kind tag, so
-// artifacts never leak across graphs.
+// Compiled is the compilation artifact of one (problem, topology,
+// pattern, weights) combination: everything QuantumMQO reads after the
+// first annealing run starts. Compilation — the logical MQO→QUBO
+// mapping, the minor embedding into the hardware graph, the physical
+// weight expansion, and the sampling program — is the wall-clock hot
+// path of the pipeline (the paper reports 112-135 ms per test case,
+// against microseconds of modeled anneal time), which makes Compiled
+// the natural unit of caching across Solve requests. The minor
+// embedding targets whichever hardware topology the options carry —
+// Chimera, Pegasus, or Zephyr — and the cache key includes the
+// topology's kind tag, so artifacts never leak across graphs.
 //
-// A Compiled is IMMUTABLE once built: the logical QUBO formula is
-// frozen (mutation panics), and the sampling path only ever reads it —
-// gauge transformations copy the CSR program, and read-out decoding
-// writes into per-run buffers. One instance is therefore safe to share
-// between any number of concurrent solves. An artifact keeps only what
-// a solve reads. The physical QUBO formula and its Ising form are
-// intermediates of Program's build and are dropped: a cached artifact
-// would otherwise pin two more copies of the formula that nothing
-// reads.
+// A Compiled is IMMUTABLE once built, and the sampling path only ever
+// reads it: every gauge batch samples the one Program from its start
+// state XOR the gauge mask, and read-out decoding writes into per-worker
+// buffers. One instance is therefore safe to share between any number
+// of concurrent solves. An artifact keeps only what a solve reads. The
+// request's problem is not kept: the decode runs on the caller's
+// problem, whose content the cache key fixes. Nor are the embedding,
+// the physical QUBO and its Ising form, which are intermediates of the
+// build.
 type Compiled struct {
-	// Mapping is the logical MQO→QUBO transformation (frozen).
-	Mapping *logical.Mapping
-	// Emb assigns each logical variable a qubit chain.
-	Emb *embedding.Embedding
-	// Phys is the physical mapping over the consumed qubits: chains,
-	// chain strengths, and the read-out. Its QUBO is nil; Program holds
-	// the physical formula.
+	// QUBO is the frozen logical formula; every read-out's descent
+	// reads it.
+	QUBO *qubo.Problem
+	// Phys is the physical read-out: each logical variable's chain of
+	// compact qubit indices and its chain strength. Its QUBO is nil;
+	// Program holds the physical formula.
 	Phys *embedding.Physical
-	// Program is the identity-gauge CSR sampling program of the
-	// physical formula in Ising form; gauge batches derive their own
-	// gauged copies from it and use it to express energies in the
-	// original gauge. Program.N is the physical spin count.
+	// Program is the sampling program of the physical formula in Ising
+	// form. Program.N is the physical spin count.
 	Program *anneal.Compiled
+	// QubitsUsed, QubitsPerVariable and MaxChainLength describe the
+	// embedding, taken when it was built.
+	QubitsUsed        int
+	QubitsPerVariable float64
+	MaxChainLength    int
 	// UsedTriadFallback reports that the clustered pattern could not
 	// realize the instance and the general TRIAD pattern was used.
 	UsedTriadFallback bool
@@ -91,10 +94,12 @@ func compile(p *mqo.Problem, opt Options) (*Compiled, error) {
 	phys.QUBO = nil
 	mapping.QUBO.Freeze()
 	return &Compiled{
-		Mapping:           mapping,
-		Emb:               emb,
+		QUBO:              mapping.QUBO,
 		Phys:              phys,
 		Program:           program,
+		QubitsUsed:        emb.NumQubits(),
+		QubitsPerVariable: emb.QubitsPerVariable(),
+		MaxChainLength:    emb.MaxChainLength(),
 		UsedTriadFallback: fallback,
 		PrepTime:          time.Since(start),
 	}, nil
@@ -104,7 +109,10 @@ func compile(p *mqo.Problem, opt Options) (*Compiled, error) {
 // problem structure, the hardware topology (fault map included), and
 // every option that shapes the artifact. Runtime options — runs,
 // sampler, parallelism, gauge/postprocess toggles — deliberately do not
-// enter the key, since they never change what Compile produces.
+// enter the key, since they never change what Compile produces. The
+// problem's hash covers every field the read-out decode reads (query
+// plans, costs, savings, clustering), so on a cache hit the caller's
+// problem decodes exactly as the one the artifact was built from.
 func compileKey(p *mqo.Problem, opt Options) plancache.Key {
 	k := plancache.NewKeyer()
 	io.WriteString(k, "core.compile.v1\x00")

@@ -231,12 +231,10 @@ func QuantumMQO(ctx context.Context, p *mqo.Problem, opt Options, seed int64) (*
 	if err != nil {
 		return nil, err
 	}
-	mapping, phys := comp.Mapping, comp.Phys
-
 	res := &Result{
-		QubitsUsed:        comp.Emb.NumQubits(),
-		QubitsPerVariable: comp.Emb.QubitsPerVariable(),
-		MaxChainLength:    comp.Emb.MaxChainLength(),
+		QubitsUsed:        comp.QubitsUsed,
+		QubitsPerVariable: comp.QubitsPerVariable,
+		MaxChainLength:    comp.MaxChainLength,
 		PreprocessTime:    comp.PrepTime,
 		Runs:              opt.Runs,
 		UsedTriadFallback: comp.UsedTriadFallback,
@@ -273,31 +271,11 @@ func QuantumMQO(ctx context.Context, p *mqo.Problem, opt Options, seed int64) (*
 	ferr := exec.ForEachOrdered(ctx, opt.Parallelism, len(batches),
 		func(tctx context.Context, i int) (*batchResult, error) {
 			sc := &scratches[exec.WorkerID(tctx)]
-			sc.grow(original.N, phys.Logical.N(), p.NumQueries(), p.NumPlans())
+			sc.grow(original.N, comp.QUBO.N(), p.NumQueries(), p.NumPlans())
 			br := &batchResult{outs: make([]readout, 0, batches[i].Runs)}
 			device.StreamBatch(tctx, nil, original, batches[i], &sc.dw, func(s dwave.Readout) bool {
-				anneal.UnpackBits(s.Words, sc.bits)
-				phys.UnembedInto(sc.bits, sc.logical)
-				ro := readout{elapsed: s.Elapsed, broken: phys.BrokenChains(sc.bits) > 0}
-				if !opt.DisablePostprocess {
-					// Single-bit descent on the logical formula removes
-					// majority-vote artifacts of broken chains (a domain
-					// wall inside a chain is single-flip stable at the
-					// physical level, so descending there would not help).
-					mapping.QUBO.FirstImprovementDescent(sc.logical, 16)
-				}
-				sol := mapping.DecodeInto(sc.logical, sc.sol, sc.selected)
-				if !opt.DisablePostprocess {
-					// Optimization post-processing as offered by the
-					// production device API: local search over plan swaps
-					// on the decoded solution. Penalty terms put barriers
-					// of height ≈ wM between valid selections, which
-					// quantum tunneling crosses but the classical sampling
-					// surrogate cannot; the swap descent restores the
-					// read-out quality the paper reports for hardware
-					// (final gaps well under 1%).
-					swapDescentWith(p, sol, sc.selected)
-				}
+				sol, broken := comp.decode(p, s.Words, sc, !opt.DisablePostprocess)
+				ro := readout{elapsed: s.Elapsed, broken: broken}
 				if cost, cerr := p.CostWith(sol, sc.selected); cerr == nil {
 					ro.ok = true
 					ro.cost = cost
@@ -346,6 +324,37 @@ func QuantumMQO(ctx context.Context, p *mqo.Problem, opt Options, seed int64) (*
 	return res, nil
 }
 
+// decode turns one packed read-out into a plan selection of p, the
+// caller's problem, in sc's buffers: unpack the physical bits, read each
+// chain by majority vote, and — when postprocess is set — descend on the
+// logical formula, decode and repair, and descend over plan swaps. It
+// reports whether any chain was broken. The returned solution aliases
+// sc.sol, and sc.selected holds its plan mask.
+func (comp *Compiled) decode(p *mqo.Problem, words []uint64, sc *solveScratch, postprocess bool) (sol mqo.Solution, broken bool) {
+	anneal.UnpackBits(words, sc.bits)
+	comp.Phys.UnembedInto(sc.bits, sc.logical)
+	broken = comp.Phys.BrokenChains(sc.bits) > 0
+	if postprocess {
+		// Single-bit descent on the logical formula removes
+		// majority-vote artifacts of broken chains (a domain wall
+		// inside a chain is single-flip stable at the physical level,
+		// so descending there would not help).
+		comp.QUBO.FirstImprovementDescent(sc.logical, 16)
+	}
+	sol = p.RepairWith(p.SolutionFromVectorInto(sc.logical, sc.sol), sc.selected)
+	if postprocess {
+		// Optimization post-processing as offered by the production
+		// device API: local search over plan swaps on the decoded
+		// solution. Penalty terms put barriers of height ≈ wM between
+		// valid selections, which quantum tunneling crosses but the
+		// classical sampling surrogate cannot; the swap descent
+		// restores the read-out quality the paper reports for hardware
+		// (final gaps well under 1%).
+		swapDescentWith(p, sol, sc.selected)
+	}
+	return sol, broken
+}
+
 // WarmWords encodes a valid MQO solution as the packed physical spin
 // state of the compiled artifact: plan selection → logical QUBO bits →
 // chain-consistent physical bits → packed spins in anneal's convention
@@ -355,7 +364,7 @@ func WarmWords(comp *Compiled, p *mqo.Problem, sol mqo.Solution) ([]uint64, erro
 	if !p.Valid(sol) {
 		return nil, fmt.Errorf("core: warm-start solution is not a valid plan selection")
 	}
-	phys := comp.Phys.Embed(comp.Mapping.Encode(sol))
+	phys := comp.Phys.Embed(p.SelectionVector(sol))
 	words := make([]uint64, anneal.WordsFor(len(phys)))
 	for i, on := range phys {
 		if !on {

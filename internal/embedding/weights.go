@@ -12,23 +12,24 @@ const DefaultEpsilon = 0.25
 
 // Physical is the result of the physical mapping: the logical energy
 // formula expanded over physical qubits (Section 5). Its QUBO uses compact
-// variable indices 0..len(PhysQubits)-1, one per consumed hardware qubit,
-// so samplers never touch idle qubits.
+// variable indices 0..N-1, one per consumed hardware qubit, so
+// samplers never touch idle qubits. The chains get consecutive compact
+// indices in variable order; a Physical keeps neither the embedding nor
+// the hardware ids, which only the build reads.
 type Physical struct {
-	Emb     *Embedding
 	Logical *qubo.Problem
 	// QUBO is the physical energy formula. For chain-consistent
 	// assignments its energy equals the logical energy.
 	QUBO *qubo.Problem
-	// PhysQubits maps compact indices to hardware qubit ids.
-	PhysQubits []int
 	// ChainStrength[v] is the ferromagnetic weight wB applied along the
 	// chain of logical variable v, computed per Choi's per-chain bound.
 	ChainStrength []float64
 	// Epsilon is the slack above the chain-strength bound.
 	Epsilon float64
 
-	chainIdx [][]int // logical var -> compact indices of its chain
+	// chainOff[v]..chainOff[v+1] are the compact indices of the chain of
+	// logical variable v; chainOff has one entry per variable plus one.
+	chainOff []int
 }
 
 // PhysicalMap expands a logical QUBO over an embedding:
@@ -66,25 +67,24 @@ func physicalMap(e *Embedding, logical *qubo.Problem, epsilon, uniform float64) 
 		return nil, err
 	}
 	p := &Physical{
-		Emb:           e,
 		Logical:       logical,
 		Epsilon:       epsilon,
 		ChainStrength: make([]float64, logical.N()),
-		chainIdx:      make([][]int, logical.N()),
+		chainOff:      make([]int, logical.N()+1),
 	}
 	// qubitPhys maps a hardware qubit id to its compact index. Only the
 	// coupling placement below reads it, so the artifact does not keep it.
 	qubitPhys := make([]int, e.Graph.NumQubits())
+	next := 0
 	for v, ch := range e.Chains {
-		idx := make([]int, len(ch))
-		for i, q := range ch {
-			idx[i] = len(p.PhysQubits)
-			qubitPhys[q] = idx[i]
-			p.PhysQubits = append(p.PhysQubits, q)
+		p.chainOff[v] = next
+		for _, q := range ch {
+			qubitPhys[q] = next
+			next++
 		}
-		p.chainIdx[v] = idx
 	}
-	p.QUBO = qubo.New(len(p.PhysQubits))
+	p.chainOff[len(e.Chains)] = next
+	p.QUBO = qubo.New(next)
 	p.QUBO.Offset = logical.Offset
 
 	// Step 1: distribute linear weights over chains.
@@ -93,8 +93,9 @@ func physicalMap(e *Embedding, logical *qubo.Problem, epsilon, uniform float64) 
 		if w == 0 {
 			continue
 		}
-		share := w / float64(len(p.chainIdx[v]))
-		for _, i := range p.chainIdx[v] {
+		lo, hi := p.ChainOf(v)
+		share := w / float64(hi-lo)
+		for i := lo; i < hi; i++ {
 			p.QUBO.AddLinear(i, share)
 		}
 	}
@@ -112,20 +113,19 @@ func physicalMap(e *Embedding, logical *qubo.Problem, epsilon, uniform float64) 
 	// Step 3: chain ferromagnetic terms. The strengths are computed from
 	// the weights assigned in steps 1-2, before any chain terms exist, so
 	// U sees exactly the couplings leaving the chain.
-	for v := range p.chainIdx {
+	for v := range p.ChainStrength {
 		if uniform > 0 {
 			p.ChainStrength[v] = uniform
 		} else {
 			p.ChainStrength[v] = p.chainBound(v) + epsilon
 		}
 	}
-	for v, idx := range p.chainIdx {
-		wB := p.ChainStrength[v]
-		for i := 0; i+1 < len(idx); i++ {
-			a, b := idx[i], idx[i+1]
+	for v, wB := range p.ChainStrength {
+		lo, hi := p.ChainOf(v)
+		for a := lo; a+1 < hi; a++ {
 			p.QUBO.AddLinear(a, wB)
-			p.QUBO.AddLinear(b, wB)
-			p.QUBO.AddQuadratic(a, b, -2*wB)
+			p.QUBO.AddLinear(a+1, wB)
+			p.QUBO.AddQuadratic(a, a+1, -2*wB)
 		}
 	}
 	return p, nil
@@ -139,18 +139,15 @@ func physicalMap(e *Embedding, logical *qubo.Problem, epsilon, uniform float64) 
 // are clear; U1→0 is the analogue for clearing the chain. Negative bounds
 // are clamped at zero so wB stays positive.
 func (p *Physical) chainBound(v int) float64 {
-	inChain := make(map[int]bool, len(p.chainIdx[v]))
-	for _, i := range p.chainIdx[v] {
-		inChain[i] = true
-	}
+	lo, hi := p.ChainOf(v)
 	up, down := 0.0, 0.0
-	for _, i := range p.chainIdx[v] {
+	for i := lo; i < hi; i++ {
 		w := p.QUBO.Linear(i)
 		u01 := w
 		u10 := -w
 		for _, t := range p.QUBO.Neighbors(i) {
-			if inChain[t.Other] {
-				continue
+			if lo <= t.Other && t.Other < hi {
+				continue // a term inside the chain
 			}
 			if t.W > 0 {
 				u01 += t.W
@@ -164,37 +161,45 @@ func (p *Physical) chainBound(v int) float64 {
 	return math.Min(up, down)
 }
 
-// ChainOf returns the compact physical indices of variable v's chain.
-func (p *Physical) ChainOf(v int) []int { return p.chainIdx[v] }
+// ChainOf returns the compact physical indices of variable v's chain:
+// the consecutive range [lo, hi).
+func (p *Physical) ChainOf(v int) (lo, hi int) { return p.chainOff[v], p.chainOff[v+1] }
+
+// numVariables returns the number of logical variables (chains).
+func (p *Physical) numVariables() int { return len(p.chainOff) - 1 }
+
+// numQubits returns the number of consumed physical qubits.
+func (p *Physical) numQubits() int { return p.chainOff[len(p.chainOff)-1] }
 
 // Unembed reads one logical value per chain from a physical assignment,
 // using majority vote within each chain (ties resolve to the first
 // qubit's value, matching a hardware read-out of the chain head).
 func (p *Physical) Unembed(x []bool) []bool {
-	return p.UnembedInto(x, make([]bool, len(p.chainIdx)))
+	return p.UnembedInto(x, make([]bool, p.numVariables()))
 }
 
 // UnembedInto is Unembed writing into the caller's buffer, which must
 // hold one entry per logical variable; it returns out. Every entry is
 // overwritten, so the buffer may be reused across read-outs.
 func (p *Physical) UnembedInto(x, out []bool) []bool {
-	if len(out) != len(p.chainIdx) {
+	if len(out) != p.numVariables() {
 		panic("embedding: UnembedInto buffer size mismatch")
 	}
-	for v, idx := range p.chainIdx {
+	for v := range out {
+		lo, hi := p.ChainOf(v)
 		ones := 0
-		for _, i := range idx {
-			if x[i] {
+		for _, on := range x[lo:hi] {
+			if on {
 				ones++
 			}
 		}
 		switch {
-		case 2*ones > len(idx):
+		case 2*ones > hi-lo:
 			out[v] = true
-		case 2*ones < len(idx):
+		case 2*ones < hi-lo:
 			out[v] = false
 		default:
-			out[v] = x[idx[0]]
+			out[v] = x[lo]
 		}
 	}
 	return out
@@ -202,9 +207,10 @@ func (p *Physical) UnembedInto(x, out []bool) []bool {
 
 // Embed expands a logical assignment to a chain-consistent physical one.
 func (p *Physical) Embed(logical []bool) []bool {
-	x := make([]bool, len(p.PhysQubits))
-	for v, idx := range p.chainIdx {
-		for _, i := range idx {
+	x := make([]bool, p.numQubits())
+	for v := 0; v < p.numVariables(); v++ {
+		lo, hi := p.ChainOf(v)
+		for i := lo; i < hi; i++ {
 			x[i] = logical[v]
 		}
 	}
@@ -215,9 +221,10 @@ func (p *Physical) Embed(logical []bool) []bool {
 // the paper's read-out procedure must repair.
 func (p *Physical) BrokenChains(x []bool) int {
 	n := 0
-	for _, idx := range p.chainIdx {
-		for _, i := range idx[1:] {
-			if x[i] != x[idx[0]] {
+	for v := 0; v < p.numVariables(); v++ {
+		lo, hi := p.ChainOf(v)
+		for i := lo + 1; i < hi; i++ {
+			if x[i] != x[lo] {
 				n++
 				break
 			}

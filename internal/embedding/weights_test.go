@@ -141,12 +141,12 @@ func TestUnembedMajorityVote(t *testing.T) {
 	}
 	x := make([]bool, p.QUBO.N())
 	// Chain 0 has 3 qubits: set two of three.
-	idx := p.ChainOf(0)
-	if len(idx) != 3 {
-		t.Fatalf("chain 0 length = %d, want 3", len(idx))
+	lo, hi := p.ChainOf(0)
+	if hi-lo != 3 {
+		t.Fatalf("chain 0 length = %d, want 3", hi-lo)
 	}
-	x[idx[0]] = true
-	x[idx[1]] = true
+	x[lo] = true
+	x[lo+1] = true
 	lx := p.Unembed(x)
 	if !lx[0] {
 		t.Error("majority 2/3 true unembedded to false")
@@ -154,7 +154,7 @@ func TestUnembedMajorityVote(t *testing.T) {
 	if p.BrokenChains(x) != 1 {
 		t.Errorf("BrokenChains = %d, want 1", p.BrokenChains(x))
 	}
-	x[idx[2]] = true
+	x[lo+2] = true
 	if p.BrokenChains(x) != 0 {
 		t.Errorf("BrokenChains after repair = %d, want 0", p.BrokenChains(x))
 	}

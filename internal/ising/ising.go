@@ -7,7 +7,6 @@ package ising
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/qubo"
 )
@@ -96,19 +95,7 @@ func (p *Problem) Coupling(i, j int) float64 {
 func (p *Problem) Neighbors(i int) []qubo.Term { return p.adj[i] }
 
 // Couplings returns all couplings sorted by (i, j).
-func (p *Problem) Couplings() []qubo.Coupling {
-	out := make([]qubo.Coupling, 0, len(p.j))
-	for k, w := range p.j {
-		out = append(out, qubo.Coupling{I: k[0], J: k[1], W: w})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].J < out[b].J
-	})
-	return out
-}
+func (p *Problem) Couplings() []qubo.Coupling { return qubo.RowCouplings(p.adj) }
 
 // Energy evaluates the Hamiltonian for spins s (entries must be ±1).
 func (p *Problem) Energy(s []int8) float64 {

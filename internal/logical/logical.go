@@ -91,14 +91,6 @@ func (m *Mapping) Decode(x []bool) mqo.Solution {
 	return m.Problem.Repair(m.Problem.SolutionFromVector(x))
 }
 
-// DecodeInto is Decode writing into the caller's buffers: sol must have
-// one entry per query and selected one entry per plan (both are
-// overwritten). It returns sol. Streaming decoders reuse the buffers
-// across read-outs.
-func (m *Mapping) DecodeInto(x []bool, sol mqo.Solution, selected []bool) mqo.Solution {
-	return m.Problem.RepairWith(m.Problem.SolutionFromVectorInto(x, sol), selected)
-}
-
 // DecodeStrict inverts the mapping without repair; the boolean reports
 // whether the assignment was a valid MQO solution.
 func (m *Mapping) DecodeStrict(x []bool) (mqo.Solution, bool) {

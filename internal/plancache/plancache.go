@@ -46,7 +46,8 @@ type Key [2]uint64
 // Keyer accumulates canonical input bytes into a Key. The zero value is
 // not usable; construct with NewKeyer.
 type Keyer struct {
-	h hash.Hash
+	h   hash.Hash
+	buf [8]byte // Uint64's encoding buffer, kept off the heap per call
 }
 
 // NewKeyer returns an empty Keyer (FNV-1a 128).
@@ -57,11 +58,11 @@ func NewKeyer() *Keyer { return &Keyer{h: fnv.New128a()} }
 func (k *Keyer) Write(p []byte) (int, error) { return k.h.Write(p) }
 
 // Uint64 appends one 64-bit value in a fixed (little-endian) byte
-// order.
+// order. It makes Keyer a hashutil.Uint64Writer, so the fingerprint
+// helpers stream integers into it without allocating.
 func (k *Keyer) Uint64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	k.h.Write(b[:])
+	binary.LittleEndian.PutUint64(k.buf[:], v)
+	k.h.Write(k.buf[:])
 }
 
 // Int appends an int (as its 64-bit two's complement).

@@ -37,7 +37,7 @@ func topologiesUnderTest(t *testing.T) []topology.Graph {
 // randomEmbeddableCase draws an instance guaranteed to fit the annealer
 // and maps it physically with a randomly chosen pattern valid for the
 // graph's kind.
-func randomEmbeddableCase(t *testing.T, rng *rand.Rand, g topology.Graph) (*logical.Mapping, *embedding.Physical) {
+func randomEmbeddableCase(t *testing.T, rng *rand.Rand, g topology.Graph) (*logical.Mapping, *embedding.Embedding, *embedding.Physical) {
 	t.Helper()
 	pattern := core.PatternAuto
 	plans := 2 + rng.Intn(2)
@@ -83,7 +83,7 @@ func randomEmbeddableCase(t *testing.T, rng *rand.Rand, g topology.Graph) (*logi
 	if err != nil {
 		t.Fatalf("%s: physical map: %v", g.Kind(), err)
 	}
-	return mapping, phys
+	return mapping, emb, phys
 }
 
 // TestPropChainsConnectedWithUniformCouplings is the embedding
@@ -97,8 +97,7 @@ func TestPropChainsConnectedWithUniformCouplings(t *testing.T) {
 	for _, g := range topologiesUnderTest(t) {
 		for iter := 0; iter < embeddingIterations; iter++ {
 			rng := rand.New(rand.NewSource(int64(iter)))
-			_, phys := randomEmbeddableCase(t, rng, g)
-			emb := phys.Emb
+			_, emb, phys := randomEmbeddableCase(t, rng, g)
 			owner := map[int]int{} // hardware qubit -> variable
 			for v, chain := range emb.Chains {
 				if len(chain) == 0 {
@@ -129,10 +128,14 @@ func TestPropChainsConnectedWithUniformCouplings(t *testing.T) {
 				if !(wB > 0) || math.IsInf(wB, 0) || math.IsNaN(wB) {
 					t.Fatalf("%s iter %d: chain strength of %d is %v", g.Kind(), iter, v, wB)
 				}
-				idx := phys.ChainOf(v)
-				for i := 0; i < len(idx); i++ {
-					for j := i + 1; j < len(idx); j++ {
-						got := phys.QUBO.Quadratic(idx[i], idx[j])
+				lo, hi := phys.ChainOf(v)
+				if hi-lo != len(chain) {
+					t.Fatalf("%s iter %d: variable %d has %d compact indices for a chain of %d qubits",
+						g.Kind(), iter, v, hi-lo, len(chain))
+				}
+				for i := lo; i < hi; i++ {
+					for j := i + 1; j < hi; j++ {
+						got := phys.QUBO.Quadratic(i, j)
 						if j == i+1 {
 							if math.Abs(got-(-2*wB)) > tol {
 								t.Fatalf("%s iter %d: intra-chain coupling (%d,%d) of variable %d = %v, want %v",
@@ -159,7 +162,7 @@ func TestPropEmbedUnembedRoundTrip(t *testing.T) {
 	for _, g := range topologiesUnderTest(t) {
 		for iter := 0; iter < embeddingIterations; iter++ {
 			rng := rand.New(rand.NewSource(int64(iter)))
-			mapping, phys := randomEmbeddableCase(t, rng, g)
+			mapping, _, phys := randomEmbeddableCase(t, rng, g)
 			logicalBits := RandomAssignment(rng, mapping.QUBO.N())
 			physBits := phys.Embed(logicalBits)
 			if n := phys.BrokenChains(physBits); n != 0 {
@@ -190,8 +193,8 @@ func TestPropFaultyTopologiesRouteAroundBrokenQubits(t *testing.T) {
 			}
 			topology.BreakRandomQubits(g, 55, int64(iter))
 			rng := rand.New(rand.NewSource(int64(100 + iter)))
-			mapping, phys := randomEmbeddableCase(t, rng, g)
-			for v, chain := range phys.Emb.Chains {
+			mapping, emb, phys := randomEmbeddableCase(t, rng, g)
+			for v, chain := range emb.Chains {
 				for _, q := range chain {
 					if !g.Working(q) {
 						t.Fatalf("%s iter %d: variable %d uses broken qubit %d", kind, iter, v, q)

@@ -16,18 +16,20 @@ import (
 // replaced: same rng stream, same acceptance decisions, same read-out.
 // These properties pin that claim against naive references retained
 // here verbatim from the pre-kernel samplers, which draw from
-// math/rand while the kernel draws from anneal.Rand, across
-// hardware-shaped programs on all three topology kinds and random
-// gauges. Under a gauge the naive side anneals the sign-flipped
-// (gauged) program and undoes the gauge on its read-out, while the
-// kernel anneals the one original program from a start XOR the gauge
-// mask; the properties below pin that both give the same read-out.
+// math/rand while the kernel draws from anneal.Rand, and which read the
+// Ising problem's own FlipDelta and Energy while the kernel reads the
+// padded program compiled from it, across hardware-shaped problems on
+// all three topology kinds and random gauges. Under a gauge the naive
+// side anneals the sign-flipped (gauged) problem and undoes the gauge
+// on its read-out, while the kernel anneals the one original program
+// from a start XOR the gauge mask; the properties below pin that both
+// give the same read-out.
 
 // naiveSA is the pre-kernel SimulatedAnnealer.Sample: dense ±1 slice
 // state, naive FlipDelta recomputation, math.Exp Metropolis test.
-func naiveSA(sa *anneal.SimulatedAnnealer, c *anneal.Compiled, rng *rand.Rand) []int8 {
-	s := anneal.RandomSpins(rng, c.N)
-	if sa.Sweeps <= 0 || c.N == 0 {
+func naiveSA(sa *anneal.SimulatedAnnealer, p *ising.Problem, rng *rand.Rand) []int8 {
+	s := anneal.RandomSpins(rng, p.N())
+	if sa.Sweeps <= 0 || p.N() == 0 {
 		return s
 	}
 	ratio := 1.0
@@ -36,8 +38,8 @@ func naiveSA(sa *anneal.SimulatedAnnealer, c *anneal.Compiled, rng *rand.Rand) [
 	}
 	beta := sa.BetaStart
 	for sweep := 0; sweep < sa.Sweeps; sweep++ {
-		for i := 0; i < c.N; i++ {
-			d := c.FlipDelta(s, i)
+		for i := 0; i < p.N(); i++ {
+			d := p.FlipDelta(s, i)
 			if d <= 0 || rng.Float64() < math.Exp(-beta*d) {
 				s[i] = -s[i]
 			}
@@ -49,8 +51,9 @@ func naiveSA(sa *anneal.SimulatedAnnealer, c *anneal.Compiled, rng *rand.Rand) [
 
 // naiveSQA is the pre-kernel SQA.Sample: one dense replica slice per
 // Trotter layer, per-site transverse-field coupling recomputed naively.
-func naiveSQA(q *anneal.SQA, c *anneal.Compiled, rng *rand.Rand) []int8 {
-	if c.N == 0 {
+func naiveSQA(q *anneal.SQA, prob *ising.Problem, rng *rand.Rand) []int8 {
+	n := prob.N()
+	if n == 0 {
 		return nil
 	}
 	p := q.Slices
@@ -60,7 +63,7 @@ func naiveSQA(q *anneal.SQA, c *anneal.Compiled, rng *rand.Rand) []int8 {
 	betaP := q.Beta / float64(p)
 	replicas := make([][]int8, p)
 	for k := range replicas {
-		replicas[k] = anneal.RandomSpins(rng, c.N)
+		replicas[k] = anneal.RandomSpins(rng, n)
 	}
 	for sweep := 0; sweep < q.Sweeps; sweep++ {
 		frac := 0.0
@@ -73,8 +76,8 @@ func naiveSQA(q *anneal.SQA, c *anneal.Compiled, rng *rand.Rand) []int8 {
 			up := replicas[(k+1)%p]
 			down := replicas[(k-1+p)%p]
 			cur := replicas[k]
-			for i := 0; i < c.N; i++ {
-				d := c.FlipDelta(cur, i) / float64(p)
+			for i := 0; i < n; i++ {
+				d := prob.FlipDelta(cur, i) / float64(p)
 				d += 2 * jPerp * float64(cur[i]) * float64(up[i]+down[i])
 				if d <= 0 || rng.Float64() < math.Exp(-q.Beta*d) {
 					cur[i] = -cur[i]
@@ -83,9 +86,9 @@ func naiveSQA(q *anneal.SQA, c *anneal.Compiled, rng *rand.Rand) []int8 {
 		}
 	}
 	best := replicas[0]
-	bestE := c.Energy(best)
+	bestE := prob.Energy(best)
 	for _, r := range replicas[1:] {
-		if e := c.Energy(r); e < bestE {
+		if e := prob.Energy(r); e < bestE {
 			bestE = e
 			best = r
 		}
@@ -93,10 +96,10 @@ func naiveSQA(q *anneal.SQA, c *anneal.Compiled, rng *rand.Rand) []int8 {
 	return best
 }
 
-// randomTopoProgram compiles a random Ising program over the hardware
+// randomTopoProblem draws a random Ising problem over the hardware
 // graph of the given kind: the sparse degree-bounded shape the solver
 // pipeline feeds the kernel.
-func randomTopoProgram(t *testing.T, rng *rand.Rand, kind string) *anneal.Compiled {
+func randomTopoProblem(t *testing.T, rng *rand.Rand, kind string) *ising.Problem {
 	t.Helper()
 	g, err := topology.New(kind, 2, 3)
 	if err != nil {
@@ -112,7 +115,7 @@ func randomTopoProgram(t *testing.T, rng *rand.Rand, kind string) *anneal.Compil
 			}
 		}
 	}
-	return anneal.Compile(p)
+	return p
 }
 
 // randomMask draws a packed spin-reversal mask over n spins (bit set ⇔
@@ -125,28 +128,49 @@ func randomMask(rng *rand.Rand, n int) []uint64 {
 	return mask
 }
 
+// maskBit reports whether spin i is reversed under mask.
+func maskBit(mask []uint64, i int) uint64 { return mask[i>>6] >> (uint(i) & 63) & 1 }
+
 // gaugeProgram builds the spin-reversal transform of c under mask:
 // h_i changes sign where bit i is set, and J_ij where exactly one
-// endpoint's bit is, each as an IEEE-754 sign-bit flip. The topology
-// arrays are shared, so neighbor order (and rounding) is c's.
+// endpoint's bit is, each as an IEEE-754 sign-bit flip in the padded
+// rows. The topology arrays are shared, so neighbor order (and
+// rounding) is c's.
 func gaugeProgram(c *anneal.Compiled, mask []uint64) *anneal.Compiled {
-	bit := func(i int32) uint64 { return mask[i>>6] >> (uint(i) & 63) & 1 }
 	g := *c
 	g.H = make([]float64, c.N)
-	g.W = make([]float64, len(c.W))
 	g.PW = make([]uint64, len(c.PW))
-	for i := int32(0); int(i) < c.N; i++ {
-		fi := bit(i)
+	for i := 0; i < c.N; i++ {
+		fi := maskBit(mask, i)
 		g.H[i] = math.Float64frombits(math.Float64bits(c.H[i]) ^ fi<<63)
-		for k := c.Off[i]; k < c.Off[i+1]; k++ {
-			g.W[k] = math.Float64frombits(math.Float64bits(c.W[k]) ^ (fi^bit(c.Nbr[k]))<<63)
-		}
 		for k := 0; k < int(c.Deg[i]); k++ {
-			at := int(i)*c.Stride + k
-			g.PW[at] = c.PW[at] ^ (fi^bit(c.PNbr[at]))<<63
+			at := i*c.Stride + k
+			g.PW[at] = c.PW[at] ^ (fi^maskBit(mask, int(c.PNbr[at])))<<63
 		}
 	}
 	return &g
+}
+
+// gaugeIsing is gaugeProgram on the Ising problem the naive references
+// read. It re-adds the couplings row by row, i ascending, which keeps
+// the row order of a problem whose rows list their lower neighbours
+// ascending before their higher ones (randomTopoProblem's and
+// FromQUBO's do); TestKernelEnergyAndDeltaBitExact checks that its
+// compiled form equals gaugeProgram's.
+func gaugeIsing(p *ising.Problem, mask []uint64) *ising.Problem {
+	flip := func(w float64, b uint64) float64 { return math.Float64frombits(math.Float64bits(w) ^ b<<63) }
+	g := ising.New(p.N())
+	g.Offset = p.Offset
+	for i := 0; i < p.N(); i++ {
+		fi := maskBit(mask, i)
+		g.AddField(i, flip(p.Field(i), fi))
+		for _, t := range p.Neighbors(i) {
+			if t.Other > i {
+				g.AddCoupling(i, t.Other, flip(t.W, fi^maskBit(mask, t.Other)))
+			}
+		}
+	}
+	return g
 }
 
 // xorWords returns a ⊕ b.
@@ -164,20 +188,25 @@ func xorWords(a, b []uint64) []uint64 {
 func TestKernelEnergyAndDeltaBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, kind := range []string{topology.ChimeraKind, topology.PegasusKind, topology.ZephyrKind} {
-		c := randomTopoProgram(t, rng, kind)
+		p := randomTopoProblem(t, rng, kind)
+		c := anneal.Compile(p)
 		for trial := 0; trial < 6; trial++ {
-			prog := c
+			naive, prog := p, c
 			if trial > 0 { // trial 0 is the identity gauge
-				prog = gaugeProgram(c, randomMask(rng, c.N))
+				mask := randomMask(rng, c.N)
+				naive, prog = gaugeIsing(p, mask), gaugeProgram(c, mask)
+				if !reflect.DeepEqual(anneal.Compile(naive), prog) {
+					t.Fatalf("%s trial %d: the gauged Ising problem compiles to a different program than the gauged program", kind, trial)
+				}
 			}
 			s := anneal.RandomSpins(rng, prog.N)
 			words := make([]uint64, anneal.WordsFor(prog.N))
 			anneal.PackSpins(s, words)
-			if got, want := prog.PackedEnergy(words), prog.Energy(s); got != want {
+			if got, want := prog.PackedEnergy(words), naive.Energy(s); got != want {
 				t.Fatalf("%s trial %d: PackedEnergy %v != Energy %v", kind, trial, got, want)
 			}
 			for i := 0; i < prog.N; i++ {
-				if got, want := prog.PackedFlipDelta(words, i), prog.FlipDelta(s, i); got != want {
+				if got, want := prog.PackedFlipDelta(words, i), naive.FlipDelta(s, i); got != want {
 					t.Fatalf("%s trial %d spin %d: PackedFlipDelta %v != FlipDelta %v", kind, trial, i, got, want)
 				}
 			}
@@ -199,13 +228,14 @@ func TestKernelSweepsMatchNaive(t *testing.T) {
 	sqa := anneal.DefaultSQA()
 	sc := anneal.NewScratch()
 	for _, kind := range []string{topology.ChimeraKind, topology.PegasusKind, topology.ZephyrKind} {
-		c := randomTopoProgram(t, rng, kind)
+		p := randomTopoProblem(t, rng, kind)
+		c := anneal.Compile(p)
 		for trial := 0; trial < 3; trial++ {
 			var mask []uint64
-			prog := c
+			naiveProblem := p
 			if trial > 0 {
 				mask = randomMask(rng, c.N)
-				prog = gaugeProgram(c, mask)
+				naiveProblem = gaugeIsing(p, mask)
 			}
 			seed := rng.Int63()
 			check := func(name string, naive []int8) {
@@ -223,11 +253,11 @@ func TestKernelSweepsMatchNaive(t *testing.T) {
 				}
 			}
 
-			naive := naiveSA(sa, prog, rand.New(rand.NewSource(seed)))
+			naive := naiveSA(sa, naiveProblem, rand.New(rand.NewSource(seed)))
 			sa.SampleInto(c, anneal.NewRand(seed), sc, mask)
 			check("SA", naive)
 
-			naive = naiveSQA(sqa, prog, rand.New(rand.NewSource(seed)))
+			naive = naiveSQA(sqa, naiveProblem, rand.New(rand.NewSource(seed)))
 			sqa.SampleInto(c, anneal.NewRand(seed), sc, mask)
 			check("SQA", naive)
 		}
@@ -243,7 +273,7 @@ func TestGaugeIdentity(t *testing.T) {
 	sa := &anneal.SimulatedAnnealer{Sweeps: 24, BetaStart: 0.1, BetaEnd: 8}
 	sqa := &anneal.SQA{Slices: 4, Sweeps: 16, Beta: 8, GammaStart: 3, GammaEnd: 0.05}
 	for _, kind := range []string{topology.ChimeraKind, topology.PegasusKind, topology.ZephyrKind} {
-		c := randomTopoProgram(t, rng, kind)
+		c := anneal.Compile(randomTopoProblem(t, rng, kind))
 		for trial := 0; trial < 4; trial++ {
 			mask := randomMask(rng, c.N)
 			gauged := gaugeProgram(c, mask)

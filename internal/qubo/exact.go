@@ -62,9 +62,11 @@ func (p *Problem) LowerBound() float64 {
 			lb += w
 		}
 	}
-	for _, w := range p.quad {
-		if w < 0 {
-			lb += w
+	for i, row := range p.adj {
+		for _, t := range row {
+			if t.Other > i && t.W < 0 {
+				lb += t.W
+			}
 		}
 	}
 	return lb

@@ -10,9 +10,13 @@ import (
 // AddQuadratic panics. Compiled formulas placed in a shared compilation
 // cache are frozen so that one request cannot silently corrupt the
 // artifact every other request reads; accessors and energy evaluation
-// are unaffected. Freezing is idempotent and cannot be undone — Clone
-// to obtain a mutable copy.
-func (p *Problem) Freeze() { p.frozen = true }
+// are unaffected. Freezing drops the pair index only the build reads.
+// It is idempotent and cannot be undone — Clone to obtain a mutable
+// copy.
+func (p *Problem) Freeze() {
+	p.frozen = true
+	p.quad = nil
+}
 
 // Frozen reports whether the problem has been frozen.
 func (p *Problem) Frozen() bool { return p.frozen }

@@ -1,8 +1,13 @@
 package qubo
 
 import (
+	"io"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/hashutil"
 )
 
 // FuzzBuildQUBO fuzzes QUBO construction as an op-stream interpreter:
@@ -10,8 +15,11 @@ import (
 // (including the i==j fold and repeated accumulation on one coupling),
 // and the resulting sparse problem is checked against an independently
 // maintained dense weight matrix — energies, flip deltas, accessor
-// symmetry, coupling enumeration, and clones must all agree. Run the
-// smoke pass with:
+// symmetry, coupling enumeration, and clones must all agree. Every
+// coupling read goes through the adjacency rows, so the reads are
+// checked again after Freeze drops the pair index, and on a Clone of
+// the frozen problem that the op stream then extends. Run the smoke
+// pass with:
 //
 //	go test -fuzz=FuzzBuildQUBO -fuzztime=20s ./internal/qubo
 func FuzzBuildQUBO(f *testing.F) {
@@ -19,38 +27,18 @@ func FuzzBuildQUBO(f *testing.F) {
 	f.Add([]byte{8, 1, 2, 3, 252, 1, 3, 2, 4, 0, 7, 7, 16, 1, 2, 3, 4})
 	f.Add([]byte{1, 1, 0, 0, 200})
 	f.Add([]byte{16, 1, 15, 14, 127, 1, 14, 15, 129, 1, 5, 5, 50})
+	// Extending the clone hits the existing pair (1,2).
+	f.Add([]byte{3, 1, 0, 2, 8, 1, 1, 2, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		n := 1 + int(data[0])%12
 		q := New(n)
-		dense := make([][]float64, n) // dense[i][j] with i <= j, diagonal = linear
-		for i := range dense {
-			dense[i] = make([]float64, n)
-		}
-		ops := data[1:]
-		for len(ops) >= 4 {
-			op, i, j := ops[0]%2, int(ops[1])%n, int(ops[2])%n
-			w := float64(int8(ops[3])) / 4
-			ops = ops[4:]
-			if op == 0 {
-				q.AddLinear(i, w)
-				dense[i][i] += w
-			} else {
-				q.AddQuadratic(i, j, w)
-				if i == j {
-					dense[i][i] += w // documented fold: x_i² = x_i
-				} else {
-					a, b := i, j
-					if a > b {
-						a, b = b, a
-					}
-					dense[a][b] += w
-				}
-			}
-		}
+		ref := newDenseRef(n)
+		ref.apply(q, data[1:], 0)
 		q.Offset = float64(int8(data[0])) / 8
+		dense := ref.w
 
 		denseEnergy := func(x []bool) float64 {
 			e := q.Offset
@@ -125,7 +113,116 @@ func FuzzBuildQUBO(f *testing.F) {
 			}
 			prev = c
 		}
+
+		ref.offset = q.Offset
+		ref.check(t, "built", q)
+		couplings, fingerprint := q.Couplings(), q.Fingerprint()
+		q.Freeze()
+		ref.check(t, "frozen", q)
+		if !reflect.DeepEqual(q.Couplings(), couplings) || q.Fingerprint() != fingerprint {
+			t.Fatal("Freeze changed the couplings or the fingerprint")
+		}
+		extended := q.Clone()
+		ext := ref.clone()
+		ext.apply(extended, data[1:], 1)
+		ext.check(t, "extended clone", extended)
+		if !reflect.DeepEqual(q.Couplings(), couplings) || q.Fingerprint() != fingerprint {
+			t.Fatal("extending a clone changed the frozen original")
+		}
 	})
+}
+
+// denseRef is FuzzBuildQUBO's reference: a dense weight matrix (w[i][j]
+// with i <= j, the diagonal holding the linear weights) and the set of
+// pairs ever coupled. It adds every weight in the same order as the
+// sparse problem, so the two agree bit for bit.
+type denseRef struct {
+	w       [][]float64
+	coupled map[[2]int]bool
+	offset  float64
+}
+
+func newDenseRef(n int) *denseRef {
+	r := &denseRef{w: make([][]float64, n), coupled: map[[2]int]bool{}}
+	for i := range r.w {
+		r.w[i] = make([]float64, n)
+	}
+	return r
+}
+
+func (r *denseRef) clone() *denseRef {
+	c := newDenseRef(len(r.w))
+	for i := range r.w {
+		copy(c.w[i], r.w[i])
+	}
+	for k := range r.coupled {
+		c.coupled[k] = true
+	}
+	c.offset = r.offset
+	return c
+}
+
+// apply interprets ops (4 bytes each: op, i, j, weight) on q and on the
+// reference, shifting i by shift.
+func (r *denseRef) apply(q *Problem, ops []byte, shift int) {
+	n := len(r.w)
+	for ; len(ops) >= 4; ops = ops[4:] {
+		op, i, j := ops[0]%2, (int(ops[1])+shift)%n, int(ops[2])%n
+		w := float64(int8(ops[3])) / 4
+		if op == 0 {
+			q.AddLinear(i, w)
+			r.w[i][i] += w
+			continue
+		}
+		q.AddQuadratic(i, j, w)
+		if i == j {
+			r.w[i][i] += w // documented fold: x_i² = x_i
+			continue
+		}
+		a, b := min(i, j), max(i, j)
+		r.w[a][b] += w
+		r.coupled[[2]int{a, b}] = true
+	}
+}
+
+// check requires q's coupling reads — Couplings, NumQuadratic,
+// Quadratic and Fingerprint — to equal the reference exactly.
+func (r *denseRef) check(t *testing.T, stage string, q *Problem) {
+	t.Helper()
+	n := len(r.w)
+	if got := q.NumQuadratic(); got != len(r.coupled) {
+		t.Fatalf("%s: NumQuadratic = %d, want %d", stage, got, len(r.coupled))
+	}
+	var want []Coupling
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if got := q.Quadratic(i, j); got != r.w[i][j] || q.Quadratic(j, i) != got {
+				t.Fatalf("%s: Quadratic(%d,%d) = %v, want %v", stage, i, j, got, r.w[i][j])
+			}
+			if r.coupled[[2]int{i, j}] {
+				want = append(want, Coupling{I: i, J: j, W: r.w[i][j]})
+			}
+		}
+	}
+	if got := q.Couplings(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Couplings = %v, want %v", stage, got, want)
+	}
+	fingerprint := hashutil.Sum64(func(w io.Writer) {
+		hashutil.WriteInt(w, n)
+		for i := 0; i < n; i++ {
+			hashutil.WriteF64(w, r.w[i][i])
+		}
+		hashutil.WriteInt(w, len(want))
+		for _, c := range want {
+			hashutil.WriteInt(w, c.I)
+			hashutil.WriteInt(w, c.J)
+			hashutil.WriteF64(w, c.W)
+		}
+		hashutil.WriteF64(w, r.offset)
+	})
+	if got := q.Fingerprint(); got != fingerprint {
+		t.Fatalf("%s: Fingerprint = %#x, the reference encoding hashes to %#x", stage, got, fingerprint)
+	}
 }
 
 // closeEnough compares accumulated float sums with a scaled tolerance.

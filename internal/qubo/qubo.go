@@ -8,19 +8,23 @@
 package qubo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Problem is a QUBO instance over n binary variables. Linear weights w_ii
-// are stored densely; quadratic weights w_ij (i<j) sparsely with adjacency
-// lists for fast neighborhood evaluation.
+// are stored densely; quadratic weights w_ij (i<j) sparsely as adjacency
+// rows, which every read of a coupling goes through.
 type Problem struct {
 	n      int
 	linear []float64
-	quad   map[[2]int]float64
 	adj    [][]Term // adj[i] holds terms (j, w_ij) with j != i
+	// quad indexes the couplings by canonical pair so that AddQuadratic
+	// finds a repeated pair in O(1). Only the build reads it, and Freeze
+	// drops it.
+	quad   map[[2]int]float64
 	frozen bool
 	// Offset is a constant added to every energy value. Mappings that
 	// complete squares or translate from Ising use it so that reported
@@ -101,38 +105,60 @@ func (p *Problem) checkVar(i int) {
 // Linear returns the linear weight of variable i.
 func (p *Problem) Linear(i int) float64 { return p.linear[i] }
 
-// Quadratic returns the coupling weight between i and j (0 if absent).
+// Quadratic returns the coupling weight between i and j (0 if absent),
+// found by scanning the shorter of the two rows.
 func (p *Problem) Quadratic(i, j int) float64 {
 	if i == j {
 		return p.linear[i]
 	}
-	if i > j {
+	if len(p.adj[j]) < len(p.adj[i]) {
 		i, j = j, i
 	}
-	return p.quad[[2]int{i, j}]
+	for _, t := range p.adj[i] {
+		if t.Other == j {
+			return t.W
+		}
+	}
+	return 0
 }
 
 // Neighbors returns the quadratic terms incident to variable i. The slice
 // is shared; callers must not modify it.
 func (p *Problem) Neighbors(i int) []Term { return p.adj[i] }
 
-// NumQuadratic returns the number of distinct non-zero couplings stored.
-func (p *Problem) NumQuadratic() int { return len(p.quad) }
+// NumQuadratic returns the number of distinct couplings stored,
+// zero-weight entries created by cancellation included.
+func (p *Problem) NumQuadratic() int { return numPairs(p.adj) }
+
+// numPairs counts the distinct pairs of symmetric adjacency rows.
+func numPairs(adj [][]Term) int {
+	terms := 0
+	for _, row := range adj {
+		terms += len(row)
+	}
+	return terms / 2
+}
 
 // Couplings returns all stored couplings sorted by (i, j). Zero-weight
 // entries created by cancellation are included; callers that care should
 // filter on W.
-func (p *Problem) Couplings() []Coupling {
-	out := make([]Coupling, 0, len(p.quad))
-	for k, w := range p.quad {
-		out = append(out, Coupling{I: k[0], J: k[1], W: w})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
+func (p *Problem) Couplings() []Coupling { return RowCouplings(p.adj) }
+
+// RowCouplings returns the couplings of symmetric adjacency rows sorted
+// by (i, j): row i contributes its terms with Other > i, sorted by
+// Other. It is the one enumeration behind the Couplings of this package
+// and of internal/ising.
+func RowCouplings(adj [][]Term) []Coupling {
+	out := make([]Coupling, 0, numPairs(adj))
+	for i, row := range adj {
+		start := len(out)
+		for _, t := range row {
+			if t.Other > i {
+				out = append(out, Coupling{I: i, J: t.Other, W: t.W})
+			}
 		}
-		return out[a].J < out[b].J
-	})
+		slices.SortFunc(out[start:], func(a, b Coupling) int { return cmp.Compare(a.J, b.J) })
+	}
 	return out
 }
 
@@ -186,9 +212,11 @@ func (p *Problem) MaxAbsWeight() float64 {
 			m = a
 		}
 	}
-	for _, w := range p.quad {
-		if a := math.Abs(w); a > m {
-			m = a
+	for _, row := range p.adj {
+		for _, t := range row {
+			if a := math.Abs(t.W); a > m {
+				m = a
+			}
 		}
 	}
 	return m
@@ -196,16 +224,18 @@ func (p *Problem) MaxAbsWeight() float64 {
 
 // Clone returns a deep copy of the problem. The copy is always mutable,
 // even when p is frozen — cloning is the supported way to derive a
-// variant of a cached formula.
+// variant of a cached formula. Its pair index is rebuilt from the rows.
 func (p *Problem) Clone() *Problem {
 	c := New(p.n)
 	c.Offset = p.Offset
 	copy(c.linear, p.linear)
-	for k, w := range p.quad {
-		c.quad[k] = w
-	}
-	for i := range p.adj {
-		c.adj[i] = append([]Term(nil), p.adj[i]...)
+	for i, row := range p.adj {
+		c.adj[i] = append([]Term(nil), row...)
+		for _, t := range row {
+			if t.Other > i {
+				c.quad[[2]int{i, t.Other}] = t.W
+			}
+		}
 	}
 	return c
 }

@@ -4,14 +4,15 @@ import "repro/internal/core"
 
 // Cache is a content-addressed compilation cache shared across Solve
 // calls: it stores the compiled artifacts of the annealer pipeline —
-// the MQO→QUBO logical mapping, the hardware minor embedding, the
-// physical energy formula, and the CSR sampling program — keyed by a
-// canonical hash of the problem structure, the hardware topology, and
-// the compile-relevant options (embedding pattern, penalty slack, chain
-// strength). Compilation is the wall-clock hot path of a solve (the
-// anneal itself is microseconds of modeled time), so a service handling
-// many requests over a bounded population of problem shapes compiles
-// each shape once and reuses the artifact everywhere:
+// the frozen logical QUBO, the chain read-out of the hardware minor
+// embedding, and the sampling program of the physical energy formula —
+// keyed by a canonical hash of the problem structure, the hardware
+// topology, and the compile-relevant options (embedding pattern,
+// penalty slack, chain strength). Compilation is the wall-clock hot
+// path of a solve (the anneal itself is microseconds of modeled time),
+// so a service handling many requests over a bounded population of
+// problem shapes compiles each shape once and reuses the artifact
+// everywhere:
 //
 //	cache := mqopt.NewCache(256)
 //	res1, _ := solverreg.Solve(ctx, "qa", p, mqopt.WithCache(cache))
