@@ -373,12 +373,11 @@ func BenchmarkPhysicalMapping(b *testing.B) {
 	}
 }
 
-// annealingProgram compiles the largest embedded problem (537 queries ×
-// 2 plans on the D-Wave 2X graph) to the physical sampling program.
-func annealingProgram(b *testing.B) *anneal.Compiled {
+// annealingProgram compiles an embedded problem of the class on the
+// D-Wave 2X graph to the physical sampling program.
+func annealingProgram(b *testing.B, class mqo.Class) *anneal.Compiled {
 	g := chimera.DWave2X(0, 0)
-	p, err := core.GenerateEmbeddable(rand.New(rand.NewSource(3)), g,
-		mqo.Class{Queries: 537, PlansPerQuery: 2}, mqo.DefaultGeneratorConfig())
+	p, err := core.GenerateEmbeddable(rand.New(rand.NewSource(3)), g, class, mqo.DefaultGeneratorConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,12 +393,14 @@ func annealingProgram(b *testing.B) *anneal.Compiled {
 	return anneal.Compile(ising.FromQUBO(phys.QUBO))
 }
 
-// BenchmarkAnnealingRun measures one annealing run + read-out on the
-// largest embedded problem (hardware charges 376 µs; this reports the
-// simulation cost).
-func BenchmarkAnnealingRun(b *testing.B) {
-	compiled := annealingProgram(b)
-	sa := anneal.DefaultSA()
+// largestClass is the largest paper class, 537 queries × 2 plans.
+var largestClass = mqo.Class{Queries: 537, PlansPerQuery: 2}
+
+// benchmarkColdRuns measures one cold annealing run + read-out of sa on
+// the class's embedded problem (hardware charges 376 µs; this reports
+// the simulation cost).
+func benchmarkColdRuns(b *testing.B, class mqo.Class, sa *anneal.SimulatedAnnealer) {
+	compiled := annealingProgram(b, class)
 	rng := anneal.NewRand(4)
 	var sc anneal.Scratch
 	b.ResetTimer()
@@ -408,10 +409,29 @@ func BenchmarkAnnealingRun(b *testing.B) {
 	}
 }
 
+// BenchmarkAnnealingRun measures a default 64-sweep run on the largest
+// embedded problem, which spends most of its sweeps frozen.
+func BenchmarkAnnealingRun(b *testing.B) { benchmarkColdRuns(b, largestClass, anneal.DefaultSA()) }
+
+// BenchmarkAnnealingRun108x5 is BenchmarkAnnealingRun on the 108×5
+// class, whose runs freeze later and less.
+func BenchmarkAnnealingRun108x5(b *testing.B) {
+	benchmarkColdRuns(b, mqo.Class{Queries: 108, PlansPerQuery: 5}, anneal.DefaultSA())
+}
+
+// BenchmarkAnnealingRun16Sweeps is BenchmarkAnnealingRun at 16 sweeps,
+// the low-effort schedule of perfbench's serve-churn requests, whose
+// hot opening sweeps take most of a run's time.
+func BenchmarkAnnealingRun16Sweeps(b *testing.B) {
+	sa := anneal.DefaultSA()
+	sa.Sweeps = 16
+	benchmarkColdRuns(b, largestClass, sa)
+}
+
 // BenchmarkAnnealingRunWarm is BenchmarkAnnealingRun for the warm start
 // that sessions use: every run starts from one cold read-out.
 func BenchmarkAnnealingRunWarm(b *testing.B) {
-	compiled := annealingProgram(b)
+	compiled := annealingProgram(b, largestClass)
 	sa := anneal.DefaultSA()
 	rng := anneal.NewRand(4)
 	var sc anneal.Scratch

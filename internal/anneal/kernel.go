@@ -29,6 +29,15 @@ import (
 //     test decides from the integer draw's leading zeros without
 //     math.Exp, converting to a float only inside a narrow band (see
 //     metropolis.go).
+//   - Most of a run is frozen. Once a sweep flips fewer than N/16 spins,
+//     a run moves to sweepFrozen, which keeps a certain-reject draw
+//     threshold per spin and decides a visit whose draw cannot overturn
+//     its rejection with one load and one compare. On the four paper
+//     classes that covers 60–82% of the visits of a cold 64-sweep run
+//     and 93–97% of a warm-started one, and a frozen visit of the 537×2
+//     program costs 4.0 ns instead of 6.9 on a 2-core Xeon host. The
+//     hot opening sweeps keep the full test, which a threshold would
+//     rarely skip.
 //
 // RNG-SEQUENCE PRESERVATION. The kernel must reproduce the historical
 // sampler bit-for-bit: every golden fixture in the repo pins spins drawn
@@ -52,7 +61,20 @@ import (
 //     u < math.Exp(−β·d) for the u the draw stands for. Note
 //     fl((−β)·d) == −fl(β·d) exactly (negation is sign-bit only), so
 //     passing x = β·d reproduces the historical math.Exp(-beta*d)
-//     argument bit-for-bit.
+//     argument bit-for-bit. A NaN x (β = 0·∞ on a schedule that starts
+//     at zero) rejects, as u < NaN does;
+//   - a certain-reject threshold rejects only draws the bracket rejects.
+//     When the bracket rejects spin i at x = fl(β·dᵢ), thrᵢ = 2^(63−k)
+//     for the largest k with x ≥ rejectAbove[k]. A later draw r with
+//     thrᵢ ≤ r < redrawAt has m = LeadingZeros64(r) in [1, k]. While
+//     neither i nor a neighbor flips, dᵢ is the same cached value, and
+//     while β never falls, β' ≥ β, so fl(β'·dᵢ) ≥ x ≥ rejectAbove[k] ≥
+//     rejectAbove[m] by monotone rounding: the full test rejects r too,
+//     consuming that one draw and changing nothing else. Any flip in
+//     i's row clears thrᵢ in the loop that sets its dirty bit; every
+//     frozen phase starts with all thresholds cleared; a schedule whose
+//     β can fall, or is zero or NaN, sets none; and r == 0 and the draws
+//     to be redrawn always take the full test.
 
 // WordsFor returns the number of uint64 words packing n spins.
 func WordsFor(n int) int { return (n + 63) / 64 }
@@ -171,13 +193,23 @@ func (c *Compiled) PackedEnergy(words []uint64) float64 {
 // OWNERSHIP CONTRACT: the views returned by Words and Spins alias the
 // scratch and are valid only until the next SampleInto (or Spins) call
 // on the same Scratch. Callers that retain a read-out past that point —
-// an incumbent, say — must copy it out first.
+// an incumbent, say — must copy it out first. The certain-reject
+// thresholds (thr) are never read outside the frozen phase of the SA
+// run that set them: anneal resets them when the phase starts, so no
+// threshold outlives its run, and none passes to another program, gauge
+// or sampler sharing the scratch.
 type Scratch struct {
 	n     int      // spins in the last read-out
 	out   []uint64 // read-out words (SA: working state; SQA: best replica)
 	delta []float64
 	dirty []uint64
-	spins []int8 // Spins() unpack buffer
+	prev  []uint64 // SA state before the last hot sweep (see anneal)
+	// thr holds each spin's certain-reject draw threshold in the frozen
+	// phase of an SA run (see sweepFrozen); certain counts the visits of
+	// the last run that a threshold decided.
+	thr     []uint64
+	certain int
+	spins   []int8 // Spins() unpack buffer
 
 	rep      []uint64 // SQA replica ring, slices×words
 	repDelta []float64
@@ -193,17 +225,22 @@ func (sc *Scratch) grow(n int) {
 	w := WordsFor(n)
 	if cap(sc.out) < w {
 		sc.out = make([]uint64, w)
+		sc.prev = make([]uint64, w)
 		sc.dirty = make([]uint64, w)
 	}
 	sc.out = sc.out[:w]
+	sc.prev = sc.prev[:w]
 	sc.dirty = sc.dirty[:w]
 	if cap(sc.delta) < n {
 		sc.delta = make([]float64, n)
+		sc.thr = make([]uint64, n)
 		sc.spins = make([]int8, n)
 	}
 	sc.delta = sc.delta[:n]
+	sc.thr = sc.thr[:n]
 	sc.spins = sc.spins[:n]
 	sc.n = n
+	sc.certain = 0
 }
 
 // growSQA additionally sizes the replica ring for p slices of n spins
@@ -230,6 +267,12 @@ func (sc *Scratch) growSQA(n, p, sweeps int) {
 // Words returns the packed read-out of the last SampleInto: bit set ⇔
 // spin −1. The view aliases the scratch (see the ownership contract).
 func (sc *Scratch) Words() []uint64 { return sc.out }
+
+// CertainRejects returns how many visits of the last run a
+// certain-reject threshold decided (see sweepFrozen), out of the SA
+// run's Sweeps·N (0 after an SQA run); tests read it to see how much of
+// a run the fast path covers.
+func (sc *Scratch) CertainRejects() int { return sc.certain }
 
 // Spins unpacks the last read-out into the scratch's ±1 buffer and
 // returns it. The view aliases the scratch (see the ownership contract).
@@ -300,7 +343,7 @@ func (c *Compiled) sweep(rng *Rand, words []uint64, delta []float64, dirty []uin
 				if x >= rejectAbove[m] {
 					continue
 				}
-				if x > acceptBelow[m] && !acceptBand(float64(r)/(1<<63), x) {
+				if !(x <= acceptBelow[m]) && !acceptBand(float64(r)/(1<<63), x) {
 					continue
 				}
 			}
@@ -315,6 +358,123 @@ func (c *Compiled) sweep(rng *Rand, words []uint64, delta []float64, dirty []uin
 		}
 	}
 	rng.pos = pos
+}
+
+// sweepFrozen is sweep for the frozen phase of a run, where nearly every
+// visit ends in a rejected draw. When the bracket rejects spin i, thr[i]
+// keeps the certain-reject threshold of its x (see certainReject) until
+// i or a neighbor flips. While it holds, delta[i] is clean and positive,
+// so the visit draws, and at any β no lower than the one that set it the
+// bracket rejects every draw r with thr[i] ≤ r < redrawAt: such a visit
+// is one load, one compare and pos++. Every other draw, r == 0 and
+// those to be redrawn included, takes sweep's full test. A flat loop
+// keeps the fast path's few live values in registers. It returns the
+// number of visits that took the full test.
+func (c *Compiled) sweepFrozen(rng *Rand, words []uint64, delta []float64, dirty, thr []uint64, beta float64) (full int) {
+	n := c.N
+	delta = delta[:n]
+	thr = thr[:n]
+	buf := &rng.buf
+	pos := rng.pos
+	for i := range thr {
+		// The peek may refill before a draw is consumed; the stream
+		// that follows is the same.
+		if pos >= rngLen {
+			rng.refill()
+			pos = 0
+		}
+		r := buf[pos] & rngMask
+		if r >= thr[i] && r < redrawAt {
+			pos++
+			continue
+		}
+		full++
+		iw, ib := i>>6, uint64(1)<<(uint(i)&63)
+		d := delta[i]
+		if dirty[iw]&ib != 0 {
+			d = -2 * spinSign(words, i) * c.packedLocalField(words, i)
+			delta[i] = d
+			dirty[iw] &^= ib
+		}
+		if d > 0 {
+			// The draw is the peeked r, redrawn as in sweep.
+			pos++
+			for r >= redrawAt {
+				if pos >= rngLen {
+					rng.refill()
+					pos = 0
+				}
+				r = buf[pos] & rngMask
+				pos++
+			}
+			x := beta * d
+			m := bits.LeadingZeros64(r) & 63
+			if x >= rejectAbove[m] {
+				thr[i] = certainReject(x)
+				continue
+			}
+			if !(x <= acceptBelow[m]) && !acceptBand(float64(r)/(1<<63), x) {
+				continue
+			}
+		}
+		words[iw] ^= ib
+		delta[i] = -d
+		thr[i] = noThreshold
+		base := i * c.Stride
+		deg := int(c.Deg[i])
+		for k := 0; k < deg; k++ {
+			j := int(c.PNbr[base+k])
+			dirty[j>>6] |= 1 << (uint(j) & 63)
+			thr[j] = noThreshold
+		}
+	}
+	rng.pos = pos
+	return full
+}
+
+// flips counts the spins that differ between two packed states.
+func flips(a, b []uint64) int {
+	n := 0
+	for w := range a {
+		n += bits.OnesCount64(a[w] ^ b[w])
+	}
+	return n
+}
+
+// anneal runs sa.Sweeps sweeps over sc.out at β = beta, beta·ratio, …
+// A run starts in sweep and moves to sweepFrozen once a sweep flips
+// fewer than N/16 spins with at least four sweeps left. The first
+// frozen sweep sets every rejected spin's threshold and costs more than
+// a plain sweep; the later ones repay it, and a run with fewer sweeps
+// left, or a hot one, would not. A threshold holds only while β never
+// falls, so a schedule whose ratio is below 1 or NaN, or whose start is
+// zero or NaN, stays in sweep throughout.
+func (sa *SimulatedAnnealer) anneal(c *Compiled, rng *Rand, sc *Scratch, beta, ratio float64) {
+	markAllDirty(sc.dirty)
+	freeze := c.N / 16
+	if !(ratio >= 1 && beta > 0) {
+		freeze = 0
+	}
+	sweep := 0
+	for sweep < sa.Sweeps {
+		copy(sc.prev, sc.out)
+		c.sweep(rng, sc.out, sc.delta, sc.dirty, beta)
+		beta *= ratio
+		sweep++
+		if sa.Sweeps-sweep >= 4 && flips(sc.prev, sc.out) < freeze {
+			break
+		}
+	}
+	if sweep == sa.Sweeps {
+		return
+	}
+	for i := range sc.thr {
+		sc.thr[i] = noThreshold
+	}
+	for ; sweep < sa.Sweeps; sweep++ {
+		sc.certain += c.N - c.sweepFrozen(rng, sc.out, sc.delta, sc.dirty, sc.thr, beta)
+		beta *= ratio
+	}
 }
 
 // SampleInto implements Sampler for SimulatedAnnealer, writing the
@@ -335,12 +495,7 @@ func (sa *SimulatedAnnealer) SampleInto(c *Compiled, rng *Rand, sc *Scratch, gau
 	if sa.Sweeps > 1 {
 		ratio = math.Pow(sa.BetaEnd/sa.BetaStart, 1/float64(sa.Sweeps-1))
 	}
-	markAllDirty(sc.dirty)
-	beta := sa.BetaStart
-	for sweep := 0; sweep < sa.Sweeps; sweep++ {
-		c.sweep(rng, sc.out, sc.delta, sc.dirty, beta)
-		beta *= ratio
-	}
+	sa.anneal(c, rng, sc, sa.BetaStart, ratio)
 }
 
 // SampleWarmInto implements WarmSampler for SimulatedAnnealer: the run
@@ -365,12 +520,7 @@ func (sa *SimulatedAnnealer) SampleWarmInto(c *Compiled, rng *Rand, sc *Scratch,
 	if sa.Sweeps > 1 && betaStart > 0 {
 		ratio = math.Pow(sa.BetaEnd/betaStart, 1/float64(sa.Sweeps-1))
 	}
-	markAllDirty(sc.dirty)
-	beta := betaStart
-	for sweep := 0; sweep < sa.Sweeps; sweep++ {
-		c.sweep(rng, sc.out, sc.delta, sc.dirty, beta)
-		beta *= ratio
-	}
+	sa.anneal(c, rng, sc, betaStart, ratio)
 }
 
 // SampleInto implements Sampler for SQA, writing the best replica's

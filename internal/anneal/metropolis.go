@@ -55,6 +55,31 @@ const (
 // which acceptance is.
 var rejectAbove, acceptBelow [64]float64
 
+// noThreshold marks a spin without a certain-reject threshold
+// (sweepFrozen): no 63-bit draw reaches it.
+const noThreshold = ^uint64(0)
+
+// xCap is the bit pattern of 63.5·ln2, just above rejectAbove[63];
+// certainReject clamps x to it.
+var xCap = math.Float64bits(63.5 * math.Ln2)
+
+// certainReject returns the draw threshold 2^(63−k) for the largest k in
+// 1..63 with x ≥ rejectAbove[k]. A draw r with 2^(63−k) ≤ r < redrawAt
+// has m = LeadingZeros64(r) in [1, k], so x ≥ rejectAbove[k] ≥
+// rejectAbove[m] and the bracket rejects r at x and at every larger x.
+// x must be one the bracket just rejected with a nonzero draw, so
+// x ≥ rejectAbove[1] > 0 and its bits order like its value. The
+// estimate ⌊min(x, 63.5·ln2)/ln2⌋ is that k or one more, because
+// rejectAbove[k] lies 0.01 above k·ln2 and ln2 − 0.01 below
+// (k+1)·ln2; one compare against the table settles it, branch-free.
+func certainReject(x float64) uint64 {
+	k := int(math.Float64frombits(min(math.Float64bits(x), xCap)) * (1 / math.Ln2))
+	if x < rejectAbove[k&63] {
+		k--
+	}
+	return 1 << ((63 - k) & 63)
+}
+
 // exp2neg[j] is 2^(−j/32), the reduction table of expNeg.
 var exp2neg [32]float64
 

@@ -112,21 +112,36 @@ func (e *Embedding) CanCouple(u, v int) bool {
 }
 
 // Validate checks that the embedding realizes every quadratic term of the
-// logical problem: for each coupling (i, j) the chains of i and j must be
-// adjacent. It also re-verifies structural invariants.
+// logical problem: one chain per variable, and for each nonzero coupling
+// (i, j) the chains of i and j adjacent. It also re-checks every chain
+// against the reverse index NewEmbedding built, allocating nothing: each
+// qubit still working and owned by its chain's variable, and
+// consecutive qubits still coupled.
 func (e *Embedding) Validate(logical *qubo.Problem) error {
 	if logical.N() != len(e.Chains) {
 		return fmt.Errorf("embedding: %d chains for %d logical variables", len(e.Chains), logical.N())
 	}
-	if _, err := NewEmbedding(e.Graph, e.Chains); err != nil {
-		return err
-	}
-	for _, c := range logical.Couplings() {
-		if c.W == 0 {
-			continue
+	for v, ch := range e.Chains {
+		if len(ch) == 0 {
+			return fmt.Errorf("embedding: variable %d has an empty chain", v)
 		}
-		if !e.CanCouple(c.I, c.J) {
-			return fmt.Errorf("embedding: logical coupling (%d,%d) has no physical coupler", c.I, c.J)
+		for k, q := range ch {
+			if q < 0 || q >= len(e.qubitVar) || e.qubitVar[q] != v {
+				return fmt.Errorf("embedding: qubit %d of variable %d's chain is not indexed to it", q, v)
+			}
+			if !e.Graph.Working(q) {
+				return fmt.Errorf("embedding: variable %d uses broken qubit %d", v, q)
+			}
+			if k > 0 && !e.Graph.HasCoupler(ch[k-1], q) {
+				return fmt.Errorf("embedding: chain of variable %d breaks between qubits %d and %d", v, ch[k-1], q)
+			}
+		}
+	}
+	for i := 0; i < logical.N(); i++ {
+		for _, t := range logical.Neighbors(i) {
+			if t.Other > i && t.W != 0 && !e.CanCouple(i, t.Other) {
+				return fmt.Errorf("embedding: logical coupling (%d,%d) has no physical coupler", i, t.Other)
+			}
 		}
 	}
 	return nil

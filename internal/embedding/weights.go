@@ -63,8 +63,11 @@ func physicalMap(e *Embedding, logical *qubo.Problem, epsilon, uniform float64) 
 	if epsilon <= 0 || math.IsNaN(epsilon) || math.IsInf(epsilon, 0) {
 		return nil, fmt.Errorf("embedding: epsilon must be positive and finite")
 	}
-	if err := e.Validate(logical); err != nil {
-		return nil, err
+	// The embedding's chains were checked when it was built, and the
+	// coupling placement below fails on a missing coupler, so only the
+	// chain count needs checking here.
+	if logical.N() != len(e.Chains) {
+		return nil, fmt.Errorf("embedding: %d chains for %d logical variables", len(e.Chains), logical.N())
 	}
 	p := &Physical{
 		Logical:       logical,

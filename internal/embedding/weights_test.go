@@ -254,4 +254,50 @@ func TestValidateDetectsMissingCoupler(t *testing.T) {
 	if err := e.Validate(bad); err == nil {
 		t.Error("missing coupler not detected")
 	}
+	if _, err := PhysicalMap(e, bad, 0.25); err == nil {
+		t.Error("PhysicalMap placed a coupling with no coupler")
+	}
+}
+
+// TestValidateErrors: Validate, which re-checks an embedding against
+// its own index instead of rebuilding it, and PhysicalMap, which checks
+// only the chain count, each reject what they must.
+func TestValidateErrors(t *testing.T) {
+	g := chimera.NewGraph(1, 2)
+	chains := []Chain{
+		{g.QubitAt(0, 0, 0), g.QubitAt(0, 0, 4)},
+		{g.QubitAt(0, 0, 5)},
+	}
+	e, err := NewEmbedding(g, chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical := qubo.New(2)
+	logical.AddQuadratic(0, 1, 1)
+	if err := e.Validate(logical); err != nil {
+		t.Fatalf("valid embedding rejected: %v", err)
+	}
+
+	// A chain-count mismatch fails both.
+	three := qubo.New(3)
+	if err := e.Validate(three); err == nil {
+		t.Error("Validate accepted 2 chains for 3 variables")
+	}
+	if _, err := PhysicalMap(e, three, 0.25); err == nil {
+		t.Error("PhysicalMap accepted 2 chains for 3 variables")
+	}
+
+	// A chain changed after NewEmbedding no longer matches the index.
+	chains[1][0] = g.QubitAt(0, 0, 6)
+	if err := e.Validate(logical); err == nil {
+		t.Error("Validate accepted a chain qubit the index does not give its variable")
+	}
+	chains[1][0] = g.QubitAt(0, 0, 5)
+
+	// A chain through a qubit broken since it was built; with no
+	// coupling to place, only the qubit itself is wrong.
+	g.BreakQubit(g.QubitAt(0, 0, 5))
+	if err := e.Validate(qubo.New(2)); err == nil {
+		t.Error("Validate accepted a chain through a broken qubit")
+	}
 }

@@ -1,13 +1,19 @@
 package proptest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/anneal"
+	"repro/internal/chimera"
+	"repro/internal/core"
+	"repro/internal/embedding"
 	"repro/internal/ising"
+	"repro/internal/logical"
+	"repro/internal/mqo"
 	"repro/internal/topology"
 )
 
@@ -36,8 +42,35 @@ func naiveSA(sa *anneal.SimulatedAnnealer, p *ising.Problem, rng *rand.Rand) []i
 	if sa.Sweeps > 1 {
 		ratio = math.Pow(sa.BetaEnd/sa.BetaStart, 1/float64(sa.Sweeps-1))
 	}
-	beta := sa.BetaStart
-	for sweep := 0; sweep < sa.Sweeps; sweep++ {
+	naiveSweeps(p, s, sa.Sweeps, sa.BetaStart, ratio, rng)
+	return s
+}
+
+// naiveSAWarm is the warm-start reference for SampleWarmInto: the run
+// starts from a copy of init with no initial-state draws, and β starts
+// at √(BetaStart·BetaEnd) (BetaEnd when that is not positive) and rises
+// geometrically to BetaEnd.
+func naiveSAWarm(sa *anneal.SimulatedAnnealer, p *ising.Problem, rng *rand.Rand, init []int8) []int8 {
+	s := append([]int8(nil), init...)
+	if sa.Sweeps <= 0 || p.N() == 0 {
+		return s
+	}
+	beta := math.Sqrt(sa.BetaStart * sa.BetaEnd)
+	if !(beta > 0) {
+		beta = sa.BetaEnd
+	}
+	ratio := 1.0
+	if sa.Sweeps > 1 && beta > 0 {
+		ratio = math.Pow(sa.BetaEnd/beta, 1/float64(sa.Sweeps-1))
+	}
+	naiveSweeps(p, s, sa.Sweeps, beta, ratio, rng)
+	return s
+}
+
+// naiveSweeps runs the Metropolis sweeps of both SA references over s
+// at β = beta, beta·ratio, …
+func naiveSweeps(p *ising.Problem, s []int8, sweeps int, beta, ratio float64, rng *rand.Rand) {
+	for sweep := 0; sweep < sweeps; sweep++ {
 		for i := 0; i < p.N(); i++ {
 			d := p.FlipDelta(s, i)
 			if d <= 0 || rng.Float64() < math.Exp(-beta*d) {
@@ -46,7 +79,6 @@ func naiveSA(sa *anneal.SimulatedAnnealer, p *ising.Problem, rng *rand.Rand) []i
 		}
 		beta *= ratio
 	}
-	return s
 }
 
 // naiveSQA is the pre-kernel SQA.Sample: one dense replica slice per
@@ -260,6 +292,124 @@ func TestKernelSweepsMatchNaive(t *testing.T) {
 			naive = naiveSQA(sqa, naiveProblem, rand.New(rand.NewSource(seed)))
 			sqa.SampleInto(c, anneal.NewRand(seed), sc, mask)
 			check("SQA", naive)
+
+			// Warm runs take no gauge (TestGaugeIdentity covers one);
+			// the naive side anneals the gauged problem from init⊕mask.
+			init := anneal.RandomSpins(rng, c.N)
+			words := make([]uint64, anneal.WordsFor(c.N))
+			anneal.PackSpins(init, words)
+			if mask != nil {
+				anneal.UnpackSpins(xorWords(words, mask), init)
+			}
+			naive = naiveSAWarm(sa, naiveProblem, rand.New(rand.NewSource(seed)), init)
+			sa.SampleWarmInto(c, anneal.NewRand(seed), sc, words)
+			check("SA warm", naive)
+		}
+	}
+}
+
+// paperProgram is the physical Ising program that a QA solve of a
+// GenerateEmbeddable instance of class samples on the D-Wave 2X graph.
+func paperProgram(t *testing.T, class mqo.Class) *ising.Problem {
+	t.Helper()
+	g := chimera.DWave2X(0, 0)
+	p, err := core.GenerateEmbeddable(rand.New(rand.NewSource(3)), g, class, mqo.DefaultGeneratorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping := logical.Map(p)
+	emb, _, err := core.EmbedProblem(g, p, mapping, core.PatternAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys, err := embedding.PhysicalMap(emb, mapping.QUBO, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ising.FromQUBO(phys.QUBO)
+}
+
+// checkReadout fails unless the kernel's packed read-out equals the
+// naive reference's spins.
+func checkReadout(t *testing.T, what string, got []uint64, naive []int8) {
+	t.Helper()
+	want := make([]uint64, anneal.WordsFor(len(naive)))
+	anneal.PackSpins(naive, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: kernel read-out differs from the naive reference", what)
+	}
+}
+
+// TestKernelMatchesNaiveOnPaperClasses: the physical programs of the
+// 537×2 and 108×5 paper classes freeze far more than the random
+// Gaussian programs above, so the kernel's certain-reject fast path
+// decides most of their visits. Fifty cold runs, each followed by a
+// warm run from its read-out as a session delta does, draw from one
+// stream and must equal the naive references read-out for read-out.
+func TestKernelMatchesNaiveOnPaperClasses(t *testing.T) {
+	const runs = 50
+	sa := anneal.DefaultSA()
+	sc := anneal.NewScratch()
+	for _, class := range []mqo.Class{{Queries: 537, PlansPerQuery: 2}, {Queries: 108, PlansPerQuery: 5}} {
+		p := paperProgram(t, class)
+		c := anneal.Compile(p)
+		kernelRng, naiveRng := anneal.NewRand(104), rand.New(rand.NewSource(104))
+		var certainCold, certainWarm int
+		for run := 0; run < runs; run++ {
+			naive := naiveSA(sa, p, naiveRng)
+			sa.SampleInto(c, kernelRng, sc, nil)
+			checkReadout(t, fmt.Sprintf("%v cold run %d", class, run), sc.Words(), naive)
+			certainCold += sc.CertainRejects()
+
+			init := append([]uint64(nil), sc.Words()...)
+			naive = naiveSAWarm(sa, p, naiveRng, naive)
+			sa.SampleWarmInto(c, kernelRng, sc, init)
+			checkReadout(t, fmt.Sprintf("%v warm run %d", class, run), sc.Words(), naive)
+			certainWarm += sc.CertainRejects()
+		}
+		visits := float64(runs * sa.Sweeps * c.N)
+		t.Logf("%d×%d (%d spins): certain-reject share %.1f%% of cold visits, %.1f%% of warm visits",
+			class.Queries, class.PlansPerQuery, c.N, 100*float64(certainCold)/visits, 100*float64(certainWarm)/visits)
+	}
+}
+
+// TestKernelSchedulesMatchNaive: schedules on which a certain-reject
+// threshold must not be used or cannot pay off — a falling β, a zero
+// start (cold β is NaN from its second sweep), one sweep and two — give
+// the naive references' read-outs, cold and warm. One scratch serves
+// programs of different sizes and is handed over by an SQA run before
+// every SA run, so nothing may carry over from one run to the next.
+func TestKernelSchedulesMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(105))
+	problems := []*ising.Problem{
+		paperProgram(t, mqo.Class{Queries: 108, PlansPerQuery: 5}),
+		randomTopoProblem(t, rng, topology.ChimeraKind),
+		randomTopoProblem(t, rng, topology.ZephyrKind),
+	}
+	sqa := &anneal.SQA{Slices: 4, Sweeps: 8, Beta: 8, GammaStart: 3, GammaEnd: 0.05}
+	sc := anneal.NewScratch()
+	for _, sa := range []*anneal.SimulatedAnnealer{
+		{Sweeps: 64, BetaStart: 8, BetaEnd: 0.1},
+		{Sweeps: 64, BetaStart: 0, BetaEnd: 8},
+		{Sweeps: 1, BetaStart: 0.1, BetaEnd: 8},
+		{Sweeps: 2, BetaStart: 0.1, BetaEnd: 8},
+	} {
+		for _, p := range problems {
+			c := anneal.Compile(p)
+			what := fmt.Sprintf("%+v on %d spins", *sa, c.N)
+			seed := rng.Int63()
+			sqa.SampleInto(c, anneal.NewRand(seed), sc, nil)
+			naive := naiveSA(sa, p, rand.New(rand.NewSource(seed)))
+			sa.SampleInto(c, anneal.NewRand(seed), sc, nil)
+			checkReadout(t, what+" cold", sc.Words(), naive)
+
+			init := anneal.RandomSpins(rng, c.N)
+			words := make([]uint64, anneal.WordsFor(c.N))
+			anneal.PackSpins(init, words)
+			sqa.SampleInto(c, anneal.NewRand(seed), sc, nil)
+			naive = naiveSAWarm(sa, p, rand.New(rand.NewSource(seed)), init)
+			sa.SampleWarmInto(c, anneal.NewRand(seed), sc, words)
+			checkReadout(t, what+" warm", sc.Words(), naive)
 		}
 	}
 }

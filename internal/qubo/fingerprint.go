@@ -10,12 +10,22 @@ import (
 // AddQuadratic panics. Compiled formulas placed in a shared compilation
 // cache are frozen so that one request cannot silently corrupt the
 // artifact every other request reads; accessors and energy evaluation
-// are unaffected. Freezing drops the pair index only the build reads.
-// It is idempotent and cannot be undone — Clone to obtain a mutable
-// copy.
+// are unaffected. Freezing drops the pair index only the build reads,
+// and moves the rows, which AddQuadratic's appends leave with spare
+// capacity, into one backing array with len == cap per row. It is
+// idempotent and cannot be undone — Clone to obtain a mutable copy.
 func (p *Problem) Freeze() {
+	if p.frozen {
+		return
+	}
 	p.frozen = true
 	p.quad = nil
+	flat := make([]Term, 0, 2*numPairs(p.adj))
+	for i, row := range p.adj {
+		start := len(flat)
+		flat = append(flat, row...)
+		p.adj[i] = flat[start:len(flat):len(flat)]
+	}
 }
 
 // Frozen reports whether the problem has been frozen.

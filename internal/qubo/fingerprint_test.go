@@ -1,6 +1,10 @@
 package qubo
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
 
 func TestFingerprintOrderIndependent(t *testing.T) {
 	a := New(3)
@@ -53,4 +57,46 @@ func TestFreeze(t *testing.T) {
 		t.Fatal("clone inherited frozen state")
 	}
 	c.AddLinear(0, 1) // must not panic
+}
+
+// TestFreezeClipsRows: a frozen problem's rows hold no spare capacity
+// (AddQuadratic's appends leave some in every row they grow), and
+// clipping them changes no coupling, no HashInto byte and no
+// fingerprint.
+func TestFreezeClipsRows(t *testing.T) {
+	p := New(40)
+	for i := 0; i < 40; i++ {
+		p.AddLinear(i, float64(i)/3)
+		for j := i + 1; j < 40; j += 1 + i%4 {
+			p.AddQuadratic(i, j, float64(i-j)/7)
+		}
+	}
+	p.AddQuadratic(3, 5, 1) // a repeated pair updates in place
+	var before bytes.Buffer
+	p.HashInto(&before)
+	fp := p.Fingerprint()
+	rows := make([][]Term, p.N())
+	spare := 0
+	for i := range rows {
+		rows[i] = append([]Term(nil), p.Neighbors(i)...)
+		spare += cap(p.Neighbors(i)) - len(p.Neighbors(i))
+	}
+	if spare == 0 {
+		t.Fatal("the built rows hold no spare capacity; the test cannot see a clip")
+	}
+	p.Freeze()
+	for i, want := range rows {
+		row := p.Neighbors(i)
+		if cap(row) != len(row) {
+			t.Fatalf("frozen row %d has len %d but cap %d", i, len(row), cap(row))
+		}
+		if !slices.Equal(row, want) {
+			t.Fatalf("frozen row %d = %v, want %v", i, row, want)
+		}
+	}
+	var after bytes.Buffer
+	p.HashInto(&after)
+	if !bytes.Equal(before.Bytes(), after.Bytes()) || p.Fingerprint() != fp {
+		t.Fatal("freezing changed the HashInto bytes or the fingerprint")
+	}
 }
