@@ -28,6 +28,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/mqo"
 	"repro/internal/solvers"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -376,13 +377,19 @@ func BenchmarkPhysicalMapping(b *testing.B) {
 // annealingProgram compiles an embedded problem of the class on the
 // D-Wave 2X graph to the physical sampling program.
 func annealingProgram(b *testing.B, class mqo.Class) *anneal.Compiled {
-	g := chimera.DWave2X(0, 0)
-	p, err := core.GenerateEmbeddable(rand.New(rand.NewSource(3)), g, class, mqo.DefaultGeneratorConfig())
+	return embeddedProgram(b, chimera.DWave2X(0, 0), class, core.PatternAuto, 3)
+}
+
+// embeddedProgram compiles a GenerateEmbeddable instance of the class,
+// drawn from seed and embedded on g with pattern, to the physical
+// sampling program.
+func embeddedProgram(b *testing.B, g topology.Graph, class mqo.Class, pattern core.Pattern, seed int64) *anneal.Compiled {
+	p, err := core.GenerateEmbeddable(rand.New(rand.NewSource(seed)), g, class, mqo.DefaultGeneratorConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	mapping := logical.Map(p)
-	emb, _, err := core.EmbedProblem(g, p, mapping, core.PatternAuto)
+	emb, _, err := core.EmbedProblem(g, p, mapping, pattern)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -397,10 +404,9 @@ func annealingProgram(b *testing.B, class mqo.Class) *anneal.Compiled {
 var largestClass = mqo.Class{Queries: 537, PlansPerQuery: 2}
 
 // benchmarkColdRuns measures one cold annealing run + read-out of sa on
-// the class's embedded problem (hardware charges 376 µs; this reports
-// the simulation cost).
-func benchmarkColdRuns(b *testing.B, class mqo.Class, sa *anneal.SimulatedAnnealer) {
-	compiled := annealingProgram(b, class)
+// an embedded problem (hardware charges 376 µs; this reports the
+// simulation cost).
+func benchmarkColdRuns(b *testing.B, compiled *anneal.Compiled, sa *anneal.SimulatedAnnealer) {
 	rng := anneal.NewRand(4)
 	var sc anneal.Scratch
 	b.ResetTimer()
@@ -411,12 +417,14 @@ func benchmarkColdRuns(b *testing.B, class mqo.Class, sa *anneal.SimulatedAnneal
 
 // BenchmarkAnnealingRun measures a default 64-sweep run on the largest
 // embedded problem, which spends most of its sweeps frozen.
-func BenchmarkAnnealingRun(b *testing.B) { benchmarkColdRuns(b, largestClass, anneal.DefaultSA()) }
+func BenchmarkAnnealingRun(b *testing.B) {
+	benchmarkColdRuns(b, annealingProgram(b, largestClass), anneal.DefaultSA())
+}
 
 // BenchmarkAnnealingRun108x5 is BenchmarkAnnealingRun on the 108×5
 // class, whose runs freeze later and less.
 func BenchmarkAnnealingRun108x5(b *testing.B) {
-	benchmarkColdRuns(b, mqo.Class{Queries: 108, PlansPerQuery: 5}, anneal.DefaultSA())
+	benchmarkColdRuns(b, annealingProgram(b, mqo.Class{Queries: 108, PlansPerQuery: 5}), anneal.DefaultSA())
 }
 
 // BenchmarkAnnealingRun16Sweeps is BenchmarkAnnealingRun at 16 sweeps,
@@ -425,7 +433,20 @@ func BenchmarkAnnealingRun108x5(b *testing.B) {
 func BenchmarkAnnealingRun16Sweeps(b *testing.B) {
 	sa := anneal.DefaultSA()
 	sa.Sweeps = 16
-	benchmarkColdRuns(b, largestClass, sa)
+	benchmarkColdRuns(b, annealingProgram(b, largestClass), sa)
+}
+
+// BenchmarkAnnealingRunOffGrid is BenchmarkAnnealingRun on an off-grid
+// program, the 45×2 TRIAD program on a 24×24 Chimera graph that
+// mqopt's throughput test solves. TRIAD chains split a linear weight
+// over a chain length that is not a power of two, so its runs recompute
+// flip deltas where the paper classes' runs update them in place.
+func BenchmarkAnnealingRunOffGrid(b *testing.B) {
+	compiled := embeddedProgram(b, chimera.NewGraph(24, 24), mqo.Class{Queries: 45, PlansPerQuery: 2}, core.PatternTriad, 1)
+	if compiled.OnGrid {
+		b.Fatal("the TRIAD program is on grid; this benchmark no longer watches the recompute path")
+	}
+	benchmarkColdRuns(b, compiled, anneal.DefaultSA())
 }
 
 // BenchmarkAnnealingRunWarm is BenchmarkAnnealingRun for the warm start

@@ -9,6 +9,7 @@ package anneal
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/ising"
@@ -65,9 +66,21 @@ type Compiled struct {
 	Deg    []int32
 	PNbr   []int32
 	PW     []uint64
+
+	// OnGrid reports that every h_i and J_ij is an integer multiple of
+	// one 2^-q and 2·max_i(|h_i| + Σ_j |J_ij|)·2^q ≤ 2^51, which the
+	// programs the paper's mapping builds from integer costs and
+	// savings satisfy. Every local field and flip delta of such a
+	// program, and every partial sum of one, is then exact in float64,
+	// so an accepted flip updates its neighbours' cached deltas in
+	// place instead of marking them for a recompute (see kernel.go).
+	// A gauge flips signs only, so it keeps the flag.
+	OnGrid bool
 }
 
-// Compile packs an Ising problem's rows into the padded kernel layout.
+// Compile packs an Ising problem's rows into the padded kernel layout
+// and decides OnGrid while it packs, stopping the check at the first
+// row that fails it.
 func Compile(p *ising.Problem) *Compiled {
 	n := p.N()
 	c := &Compiled{N: n, H: make([]float64, n), Deg: make([]int32, n), Offset: p.Offset}
@@ -78,14 +91,67 @@ func Compile(p *ising.Problem) *Compiled {
 	}
 	c.PNbr = make([]int32, n*c.Stride)
 	c.PW = make([]uint64, n*c.Stride)
+	g := grid{lim: 1 << 50}
 	for i := 0; i < n; i++ {
 		base := i * c.Stride
-		for k, t := range p.Neighbors(i) {
+		row := p.Neighbors(i)
+		for k, t := range row {
 			c.PNbr[base+k] = int32(t.Other)
 			c.PW[base+k] = math.Float64bits(t.W)
 		}
+		if !g.off {
+			g.row(c.H[i], c.PW[base:base+len(row)])
+		}
 	}
+	c.OnGrid = !g.off
 	return c
+}
+
+// grid folds a program's rows, one at a time, into the OnGrid test.
+// Every finite float64 is a multiple of 2^-1074, so the test is the
+// magnitude bound at the coarsest grid that holds every weight. q and
+// the largest row magnitude only grow, so a program fails at the first
+// row that fails the bound and never passes again.
+type grid struct {
+	q   int     // every weight folded so far is a multiple of 2^-q, q ≥ 0
+	lim float64 // 2^(50−q), the largest row magnitude on grid
+	mag float64 // the largest row magnitude |h_i| + Σ_j |J_ij| so far
+	off bool    // the rows folded so far fail the bound
+}
+
+// row folds in one row: its field h and its weights' bits w. A row
+// magnitude is summed in float64, which decides the bound exactly at
+// the row's q and at every later one: while the true sum stays at or
+// below 2^53·2^-q it is exact, and once it passes that the rounded sum
+// stays above 2^(50−q) by monotone rounding. ±Inf or NaN fails.
+func (g *grid) row(h float64, w []uint64) {
+	m := g.abs(math.Float64bits(h))
+	for _, b := range w {
+		m += g.abs(b)
+	}
+	g.mag = max(g.mag, m)
+	g.off = !(g.mag <= g.lim)
+}
+
+// abs refines the grid to hold the weight with bits b and returns |w|.
+// A nonzero w is an odd integer times 2^(e−1075+t), where e is its
+// biased exponent (read as 1 for a subnormal, whose significand has no
+// hidden bit) and t the trailing zeros of its significand.
+func (g *grid) abs(b uint64) float64 {
+	b &^= 1 << 63
+	if b != 0 {
+		e, sig := int(b>>52), b&(1<<52-1)
+		if e == 0 {
+			e = 1
+		} else {
+			sig |= 1 << 52
+		}
+		if q := 1075 - e - bits.TrailingZeros64(sig); q > g.q {
+			g.q = q
+			g.lim = math.Ldexp(1, 50-q)
+		}
+	}
+	return math.Float64frombits(b)
 }
 
 // RandomSpins draws a uniform spin state.

@@ -18,10 +18,14 @@ import (
 //     (PNbr/PW, stride = max degree), so the w·s product is a sign-bit
 //     XOR — exact, branch-free, and free of int8→float conversions —
 //     and a row address is a multiply instead of two offset loads.
-//   - Each spin's flip delta is cached and recomputed only when a
-//     neighbor actually flipped (a dirty bitset maintained on accepted
-//     flips), making FlipDelta an O(1) lookup in the frozen late sweeps
-//     and O(deg) only after an accepted flip.
+//   - Each spin's flip delta is cached. On an on-grid program
+//     (Compiled.OnGrid, which every paper-class program is) an accepted
+//     flip of spin i moves each neighbour's cached delta by
+//     4·J_ij·s_i·s_j, s_i taken before the flip, so a visit never
+//     rebuilds a local field after the run's first sweep. Off grid, a
+//     flip marks its neighbours in a dirty bitset and a marked delta is
+//     recomputed at its next visit. Every run starts with all deltas
+//     marked, so its first sweep computes each one once, on grid or off.
 //   - On paper-class programs 97–98.5% of spin visits draw a uniform and
 //     91–96% end in a rejected draw, so the draw-and-reject path is what
 //     a visit costs. The generator is a concrete Rand (rand.go) whose
@@ -49,12 +53,23 @@ import (
 //
 //   - Rand yields math/rand's exact stream, and the sweep's inlined draw
 //     redraws exactly where rand.Float64 does;
-//   - ±w and ±h are sign-bit flips (exact); deltas are recomputed in the
-//     Ising problem's row order whenever a neighbor flipped, not
-//     incrementally accumulated (float accumulation would drift in the
-//     low bits and could flip a d ≤ 0 decision);
-//   - a cached delta is reused only while no neighbor flipped, in which
-//     case recomputation would return the identical bits;
+//   - ±w and ±h are sign-bit flips (exact). Off grid, a delta is
+//     recomputed in the Ising problem's row order whenever a neighbor
+//     flipped, never accumulated (float accumulation would drift in the
+//     low bits and could flip a d ≤ 0 decision), and a cached delta is
+//     reused only while no neighbor flipped, when a recompute would
+//     return the identical bits;
+//   - on grid, every h_i and J_ij is a multiple of one 2^-q and
+//     2·max_i(|h_i| + Σ_j |J_ij|)·2^q ≤ 2^51. Every partial sum of
+//     h_i + Σ_j J_ij·s_j is then a multiple of 2^-q no larger than that
+//     maximum, hence representable, so the row-order float sum equals
+//     the real one; so do d_i = −2·s_i·f_i and d_j + 4·J_ij·s_i·s_j,
+//     whose real value is the new d_j. A delta updated in place on a
+//     neighbour's flip therefore equals what a recompute would return,
+//     bit for bit, except for an exact zero: x + (−x) is +0 where
+//     −2·s·(+0) can be −0. Every decision reads d only through d > 0,
+//     false for both zeros, and forms x = β·d only when d > 0, so no
+//     draw, decision, threshold or read-out can differ;
 //   - flipping spin i negates its own delta exactly (d' = −d: the local
 //     field does not depend on s_i);
 //   - accept (metropolis.go) returns the provably identical boolean to
@@ -71,10 +86,10 @@ import (
 //     while β never falls, β' ≥ β, so fl(β'·dᵢ) ≥ x ≥ rejectAbove[k] ≥
 //     rejectAbove[m] by monotone rounding: the full test rejects r too,
 //     consuming that one draw and changing nothing else. Any flip in
-//     i's row clears thrᵢ in the loop that sets its dirty bit; every
-//     frozen phase starts with all thresholds cleared; a schedule whose
-//     β can fall, or is zero or NaN, sets none; and r == 0 and the draws
-//     to be redrawn always take the full test.
+//     i's row clears thrᵢ in the loop that updates or marks its delta;
+//     every frozen phase starts with all thresholds cleared; a schedule
+//     whose β can fall, or is zero or NaN, sets none; and r == 0 and the
+//     draws to be redrawn always take the full test.
 
 // WordsFor returns the number of uint64 words packing n spins.
 func WordsFor(n int) int { return (n + 63) / 64 }
@@ -183,11 +198,12 @@ func (c *Compiled) PackedEnergy(words []uint64) float64 {
 }
 
 // Scratch is a per-worker arena for the sampling hot path: packed spin
-// state, the delta cache with its dirty bitset, the SQA replica ring,
-// and the read-out buffers. A Scratch is owned by exactly one worker at
-// a time (internal/exec workers hold one each) and is reused across
-// every run of every gauge batch the worker executes, so steady-state
-// sweeps allocate nothing. The zero value is ready to use; buffers grow
+// state, the delta cache with its dirty bitset (read throughout an
+// off-grid run, and only in the first sweep of an on-grid one), the SQA
+// replica ring, and the read-out buffers. A Scratch is owned by exactly
+// one worker at a time (internal/exec workers hold one each) and is
+// reused across every run of every gauge batch the worker executes, so
+// steady-state sweeps allocate nothing. The zero value is ready to use; buffers grow
 // on demand and are retained.
 //
 // OWNERSHIP CONTRACT: the views returned by Words and Spins alias the
@@ -290,9 +306,10 @@ func markAllDirty(dirty []uint64) {
 }
 
 // sweep runs one Metropolis sweep over the packed state at inverse
-// temperature beta, reusing cached deltas for spins whose neighborhood
-// is unchanged. The rng stream and every accept decision are
-// bit-identical to the naive FlipDelta-per-spin loop.
+// temperature beta, reusing cached deltas: an accepted flip updates its
+// neighbours' deltas in place on grid and marks them dirty off grid.
+// The rng stream and every accept decision are bit-identical to the
+// naive FlipDelta-per-spin loop.
 func (c *Compiled) sweep(rng *Rand, words []uint64, delta []float64, dirty []uint64, beta float64) {
 	n := c.N
 	if n == 0 {
@@ -351,6 +368,16 @@ func (c *Compiled) sweep(rng *Rand, words []uint64, delta []float64, dirty []uin
 			delta[i] = -d
 			base := i * c.Stride
 			deg := int(c.Deg[i])
+			if c.OnGrid {
+				// s_i before the flip, as a sign bit: its bit is now flipped.
+				si := (^words[iw] >> (uint(i) & 63)) << 63
+				for k := 0; k < deg; k++ {
+					j := int(c.PNbr[base+k])
+					sj := (words[j>>6] >> (uint(j) & 63)) << 63
+					delta[j] += 4 * math.Float64frombits(c.PW[base+k]^si^sj)
+				}
+				continue
+			}
 			for k := 0; k < deg; k++ {
 				j := int(c.PNbr[base+k])
 				dirty[j>>6] |= 1 << (uint(j) & 63)
@@ -422,6 +449,17 @@ func (c *Compiled) sweepFrozen(rng *Rand, words []uint64, delta []float64, dirty
 		thr[i] = noThreshold
 		base := i * c.Stride
 		deg := int(c.Deg[i])
+		if c.OnGrid {
+			// s_i before the flip, as a sign bit: its bit is now flipped.
+			si := (^words[iw] >> (uint(i) & 63)) << 63
+			for k := 0; k < deg; k++ {
+				j := int(c.PNbr[base+k])
+				sj := (words[j>>6] >> (uint(j) & 63)) << 63
+				delta[j] += 4 * math.Float64frombits(c.PW[base+k]^si^sj)
+				thr[j] = noThreshold
+			}
+			continue
+		}
 		for k := 0; k < deg; k++ {
 			j := int(c.PNbr[base+k])
 			dirty[j>>6] |= 1 << (uint(j) & 63)

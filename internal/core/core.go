@@ -374,14 +374,10 @@ func WarmWords(comp *Compiled, p *mqo.Problem, sol mqo.Solution) ([]uint64, erro
 	return words, nil
 }
 
-// swapDescent runs first-improvement local search over single-query plan
-// swaps until a local optimum is reached, mutating sol in place.
-func swapDescent(p *mqo.Problem, sol mqo.Solution) {
-	swapDescentWith(p, sol, make([]bool, p.NumPlans()))
-}
-
-// swapDescentWith is swapDescent reusing the caller's selection scratch
-// (one entry per plan, contents overwritten).
+// swapDescentWith runs first-improvement local search over single-query
+// plan swaps until a local optimum is reached, mutating sol in place.
+// selected is the caller's selection scratch (one entry per plan,
+// contents overwritten).
 func swapDescentWith(p *mqo.Problem, sol mqo.Solution, selected []bool) {
 	for i := range selected {
 		selected[i] = false

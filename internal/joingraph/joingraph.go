@@ -181,10 +181,6 @@ func (w *Workload) NumRelations() int { return len(w.Relations) }
 // NumQueries returns the number of queries.
 func (w *Workload) NumQueries() int { return len(w.Queries) }
 
-// relationIndex returns the catalog index of name; validation guarantees
-// hits for every join endpoint.
-func (w *Workload) relationIndex(name string) int { return w.relIdx[name] }
-
 // queryRelations returns the sorted catalog indices of the relations
 // query q touches.
 func (w *Workload) queryRelations(q int) []int {

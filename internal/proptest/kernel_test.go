@@ -133,6 +133,15 @@ func naiveSQA(q *anneal.SQA, prob *ising.Problem, rng *rand.Rand) []int8 {
 // pipeline feeds the kernel.
 func randomTopoProblem(t *testing.T, rng *rand.Rand, kind string) *ising.Problem {
 	t.Helper()
+	return topoProblem(t, rng, kind, rng.NormFloat64)
+}
+
+// topoProblem draws a problem over the 2×3 hardware graph of the given
+// kind with a field on every qubit and, with probability 0.9, a
+// coupling on every coupler, each weight drawn by w. Rows list their
+// lower neighbours first, ascending.
+func topoProblem(t *testing.T, rng *rand.Rand, kind string, w func() float64) *ising.Problem {
+	t.Helper()
 	g, err := topology.New(kind, 2, 3)
 	if err != nil {
 		t.Fatalf("topology.New(%s): %v", kind, err)
@@ -140,10 +149,10 @@ func randomTopoProblem(t *testing.T, rng *rand.Rand, kind string) *ising.Problem
 	n := g.NumQubits()
 	p := ising.New(n)
 	for q := 0; q < n; q++ {
-		p.AddField(q, rng.NormFloat64())
+		p.AddField(q, w())
 		for _, nb := range g.Neighbors(q) {
 			if nb > q && rng.Float64() < 0.9 {
-				p.AddCoupling(q, nb, rng.NormFloat64())
+				p.AddCoupling(q, nb, w())
 			}
 		}
 	}
@@ -262,6 +271,9 @@ func TestKernelSweepsMatchNaive(t *testing.T) {
 	for _, kind := range []string{topology.ChimeraKind, topology.PegasusKind, topology.ZephyrKind} {
 		p := randomTopoProblem(t, rng, kind)
 		c := anneal.Compile(p)
+		if c.OnGrid {
+			t.Fatalf("%s: the Gaussian program is on grid; the off-grid recompute path has lost its coverage here", kind)
+		}
 		for trial := 0; trial < 3; trial++ {
 			var mask []uint64
 			naiveProblem := p
@@ -343,7 +355,9 @@ func checkReadout(t *testing.T, what string, got []uint64, naive []int8) {
 // TestKernelMatchesNaiveOnPaperClasses: the physical programs of the
 // 537×2 and 108×5 paper classes freeze far more than the random
 // Gaussian programs above, so the kernel's certain-reject fast path
-// decides most of their visits. Fifty cold runs, each followed by a
+// decides most of their visits. Their weights are on grid, so their
+// runs update cached deltas in place, where the Gaussian programs'
+// runs recompute them. Fifty cold runs, each followed by a
 // warm run from its read-out as a session delta does, draw from one
 // stream and must equal the naive references read-out for read-out.
 func TestKernelMatchesNaiveOnPaperClasses(t *testing.T) {
@@ -353,6 +367,9 @@ func TestKernelMatchesNaiveOnPaperClasses(t *testing.T) {
 	for _, class := range []mqo.Class{{Queries: 537, PlansPerQuery: 2}, {Queries: 108, PlansPerQuery: 5}} {
 		p := paperProgram(t, class)
 		c := anneal.Compile(p)
+		if !c.OnGrid {
+			t.Fatalf("%v: the paper program is off grid; the in-place delta path has lost its coverage here", class)
+		}
 		kernelRng, naiveRng := anneal.NewRand(104), rand.New(rand.NewSource(104))
 		var certainCold, certainWarm int
 		for run := 0; run < runs; run++ {
